@@ -24,7 +24,8 @@ pub struct CxlDeviceBackend {
 impl CxlDeviceBackend {
     /// Creates a backend over `[dpa_base, dpa_base + len)` of `device`.
     pub fn new(device: Arc<Type3Device>, dpa_base: u64, len: u64) -> Result<Self, PmemError> {
-        if dpa_base + len > device.capacity_bytes() {
+        let end = dpa_base.checked_add(len).ok_or(PmemError::SizeOverflow)?;
+        if end > device.capacity_bytes() {
             return Err(PmemError::OutOfBounds {
                 offset: dpa_base,
                 len,
@@ -50,6 +51,21 @@ impl CxlDeviceBackend {
     pub fn device(&self) -> Arc<Type3Device> {
         Arc::clone(&self.device)
     }
+
+    /// Device address of the window range `[offset, offset + len)`, checked
+    /// without overflow. `new` proved `dpa_base + self.len` fits, so the
+    /// returned address cannot wrap.
+    fn dpa(&self, offset: u64, len: u64) -> Result<u64, PmemError> {
+        let end = offset.checked_add(len).ok_or(PmemError::SizeOverflow)?;
+        if end > self.len {
+            return Err(PmemError::OutOfBounds {
+                offset,
+                len,
+                pool_size: self.len,
+            });
+        }
+        Ok(self.dpa_base + offset)
+    }
 }
 
 impl PoolBackend for CxlDeviceBackend {
@@ -58,39 +74,21 @@ impl PoolBackend for CxlDeviceBackend {
     }
 
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<(), PmemError> {
-        if offset + buf.len() as u64 > self.len {
-            return Err(PmemError::OutOfBounds {
-                offset,
-                len: buf.len() as u64,
-                pool_size: self.len,
-            });
-        }
+        let dpa = self.dpa(offset, buf.len() as u64)?;
         self.device
-            .read_bulk(self.dpa_base + offset, buf)
+            .read_bulk(dpa, buf)
             .map_err(|e| PmemError::Io(std::io::Error::other(e.to_string())))
     }
 
     fn write_at(&self, offset: u64, data: &[u8]) -> Result<(), PmemError> {
-        if offset + data.len() as u64 > self.len {
-            return Err(PmemError::OutOfBounds {
-                offset,
-                len: data.len() as u64,
-                pool_size: self.len,
-            });
-        }
+        let dpa = self.dpa(offset, data.len() as u64)?;
         self.device
-            .write_bulk(self.dpa_base + offset, data)
+            .write_bulk(dpa, data)
             .map_err(|e| PmemError::Io(std::io::Error::other(e.to_string())))
     }
 
     fn persist(&self, offset: u64, len: u64) -> Result<(), PmemError> {
-        if offset + len > self.len {
-            return Err(PmemError::OutOfBounds {
-                offset,
-                len,
-                pool_size: self.len,
-            });
-        }
+        self.dpa(offset, len)?;
         // Global Persistent Flush: pushes accepted writes into the persistence
         // domain of the (battery-backed) expander.
         self.device.global_persistent_flush();
@@ -149,6 +147,49 @@ mod tests {
     fn region_must_fit_the_device() {
         let dev = device(MIB);
         assert!(CxlDeviceBackend::new(dev, 0, 2 * MIB).is_err());
+    }
+
+    #[test]
+    fn window_base_overflow_is_a_typed_error() {
+        let dev = device(64 * MIB);
+        assert!(matches!(
+            CxlDeviceBackend::new(dev, u64::MAX - MIB, 2 * MIB),
+            Err(PmemError::SizeOverflow)
+        ));
+    }
+
+    #[test]
+    fn offset_overflow_never_escapes_the_window() {
+        // A 4 MiB window at 8 MiB: offset + len wraps past u64::MAX, and an
+        // unchecked sum would address the 8 bytes just below the window.
+        let dev = device(64 * MIB);
+        dev.write_bulk(8 * MIB - 8, b"neighbor").unwrap();
+        let backend = CxlDeviceBackend::new(Arc::clone(&dev), 8 * MIB, 4 * MIB).unwrap();
+        let mut buf = [0u8; 16];
+        assert!(matches!(
+            backend.read_at(u64::MAX - 7, &mut buf),
+            Err(PmemError::SizeOverflow)
+        ));
+        assert_eq!(buf, [0u8; 16], "nothing may be read on a rejected call");
+        assert!(matches!(
+            backend.write_at(u64::MAX - 7, &[0xAA; 16]),
+            Err(PmemError::SizeOverflow)
+        ));
+        assert!(matches!(
+            backend.persist(u64::MAX - 7, 16),
+            Err(PmemError::SizeOverflow)
+        ));
+        let mut below = [0u8; 8];
+        dev.read_bulk(8 * MIB - 8, &mut below).unwrap();
+        assert_eq!(
+            &below, b"neighbor",
+            "the neighbouring tenant's bytes are intact"
+        );
+        // In-range but past the end is still the plain bounds error.
+        assert!(matches!(
+            backend.read_at(4 * MIB - 8, &mut buf),
+            Err(PmemError::OutOfBounds { .. })
+        ));
     }
 
     #[test]

@@ -10,6 +10,7 @@ use crate::error::PmemError;
 use crate::oid::TypedOid;
 use crate::pool::PmemPool;
 use crate::Result;
+use std::cell::RefCell;
 
 /// Scalar element types that can live in a persistent array.
 ///
@@ -28,9 +29,11 @@ macro_rules! impl_pmem_scalar {
         $(
             impl PmemScalar for $ty {
                 const SIZE: usize = std::mem::size_of::<$ty>();
+                #[inline]
                 fn write_le(&self, out: &mut [u8]) {
                     out[..Self::SIZE].copy_from_slice(&self.to_le_bytes());
                 }
+                #[inline]
                 fn read_le(bytes: &[u8]) -> Self {
                     let mut buf = [0u8; std::mem::size_of::<$ty>()];
                     buf.copy_from_slice(&bytes[..Self::SIZE]);
@@ -42,6 +45,22 @@ macro_rules! impl_pmem_scalar {
 }
 
 impl_pmem_scalar!(f64, f32, u64, u32, i64, i32);
+
+/// Bytes one bulk transfer stages at a time. [`PersistentArray::load_slice`],
+/// [`store_slice`](PersistentArray::store_slice) and
+/// [`store_slice_tx`](PersistentArray::store_slice_tx) encode and decode
+/// through one block of this size, however long the slice, so a transfer
+/// stays cache-resident. Equal to the device's sparse chunk.
+pub const STAGING_BLOCK_BYTES: usize = cxl::sparse::CHUNK_BYTES;
+
+thread_local! {
+    /// The calling thread's staging block, zeroed once and reused by every
+    /// bulk transfer the thread makes: a transfer neither allocates nor
+    /// clears a buffer. Backends never re-enter a bulk transfer, so the
+    /// borrow is never contended.
+    static STAGING: RefCell<Box<[u8]>> =
+        RefCell::new(vec![0u8; STAGING_BLOCK_BYTES].into_boxed_slice());
+}
 
 /// A typed array allocated inside a pool.
 pub struct PersistentArray<'p, T: PmemScalar> {
@@ -134,20 +153,45 @@ impl<'p, T: PmemScalar> PersistentArray<'p, T> {
         Ok(())
     }
 
-    /// Reads elements `[start, start + out.len())` into `out`.
+    /// Pool offset of the element range `[start, start + len)`, `len > 0`,
+    /// checked without overflow.
+    fn range_offset(&self, start: u64, len: usize) -> Result<u64> {
+        let last = start
+            .checked_add(len as u64 - 1)
+            .ok_or(PmemError::OutOfBounds {
+                offset: start,
+                len: len as u64,
+                pool_size: self.len(),
+            })?;
+        self.offset_of(last)?; // bounds check
+        self.offset_of(start)
+    }
+
+    /// Elements per staging block (a scalar wider than a block fails to
+    /// compile).
+    const BLOCK_ELEMS: usize = {
+        assert!(T::SIZE > 0 && T::SIZE <= STAGING_BLOCK_BYTES);
+        STAGING_BLOCK_BYTES / T::SIZE
+    };
+
+    /// Reads elements `[start, start + out.len())` into `out`, one staging
+    /// block at a time.
     pub fn load_slice(&self, start: u64, out: &mut [T]) -> Result<()> {
         if out.is_empty() {
             return Ok(());
         }
-        let last = start + out.len() as u64 - 1;
-        self.offset_of(last)?; // bounds check
-        let offset = self.offset_of(start)?;
-        let mut buf = vec![0u8; out.len() * T::SIZE];
-        self.pool.read(offset, &mut buf)?;
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = T::read_le(&buf[i * T::SIZE..]);
-        }
-        Ok(())
+        let mut offset = self.range_offset(start, out.len())?;
+        STAGING.with_borrow_mut(|block| {
+            for elems in out.chunks_mut(Self::BLOCK_ELEMS) {
+                let bytes = &mut block[..elems.len() * T::SIZE];
+                self.pool.read(offset, bytes)?;
+                for (slot, raw) in elems.iter_mut().zip(bytes.chunks_exact(T::SIZE)) {
+                    *slot = T::read_le(raw);
+                }
+                offset += bytes.len() as u64;
+            }
+            Ok(())
+        })
     }
 
     /// Reads the whole array into a freshly allocated vector.
@@ -157,19 +201,30 @@ impl<'p, T: PmemScalar> PersistentArray<'p, T> {
         Ok(out)
     }
 
-    /// Writes `values` starting at element `start`.
+    /// Encodes `values` one staging block at a time and writes each block at
+    /// its pool offset, starting at `offset`.
+    fn write_blocks(&self, mut offset: u64, values: &[T]) -> Result<()> {
+        STAGING.with_borrow_mut(|block| {
+            for elems in values.chunks(Self::BLOCK_ELEMS) {
+                let bytes = &mut block[..elems.len() * T::SIZE];
+                for (value, raw) in elems.iter().zip(bytes.chunks_exact_mut(T::SIZE)) {
+                    value.write_le(raw);
+                }
+                self.pool.write(offset, bytes)?;
+                offset += bytes.len() as u64;
+            }
+            Ok(())
+        })
+    }
+
+    /// Writes `values` starting at element `start`, one staging block at a
+    /// time.
     pub fn store_slice(&self, start: u64, values: &[T]) -> Result<()> {
         if values.is_empty() {
             return Ok(());
         }
-        let last = start + values.len() as u64 - 1;
-        self.offset_of(last)?; // bounds check
-        let offset = self.offset_of(start)?;
-        let mut buf = vec![0u8; values.len() * T::SIZE];
-        for (i, value) in values.iter().enumerate() {
-            value.write_le(&mut buf[i * T::SIZE..]);
-        }
-        self.pool.write(offset, &buf)
+        let offset = self.range_offset(start, values.len())?;
+        self.write_blocks(offset, values)
     }
 
     /// Makes the element range `[start, start+len)` durable.
@@ -198,19 +253,18 @@ impl<'p, T: PmemScalar> PersistentArray<'p, T> {
     }
 
     /// Transactionally updates the element range `[start, start + values.len())`:
-    /// either every element is updated and durable, or none are.
+    /// either every element is updated and durable, or none are. The whole
+    /// range is logged once (`TX_ADD_RANGE`), then written block by block.
     pub fn store_slice_tx(&self, start: u64, values: &[T]) -> Result<()> {
         if values.is_empty() {
             return Ok(());
         }
-        let last = start + values.len() as u64 - 1;
-        self.offset_of(last)?;
-        let offset = self.offset_of(start)?;
-        let mut buf = vec![0u8; values.len() * T::SIZE];
-        for (i, value) in values.iter().enumerate() {
-            value.write_le(&mut buf[i * T::SIZE..]);
-        }
-        self.pool.run_tx(|tx| tx.write(offset, &buf))
+        let offset = self.range_offset(start, values.len())?;
+        let bytes = values.len() as u64 * T::SIZE as u64;
+        self.pool.run_tx(|tx| {
+            tx.add_range(offset, bytes)?;
+            self.write_blocks(offset, values)
+        })
     }
 
     /// Frees the array's allocation. Consumes the handle.
@@ -358,6 +412,87 @@ mod tests {
         ints.set(0, -7).unwrap();
         assert_eq!(doubles.get(0).unwrap(), 1.5);
         assert_eq!(ints.get(0).unwrap(), -7);
+    }
+
+    #[test]
+    fn slice_range_overflow_is_a_typed_error() {
+        let pool = pool();
+        let array = PersistentArray::<u64>::allocate(&pool, 16).unwrap();
+        let mut out = [0u64; 2];
+        for result in [
+            array.load_slice(u64::MAX, &mut out),
+            array.store_slice(u64::MAX, &[1, 2]),
+            array.store_slice_tx(u64::MAX, &[1, 2]),
+        ] {
+            assert!(
+                matches!(result, Err(PmemError::OutOfBounds { .. })),
+                "{result:?}"
+            );
+        }
+    }
+
+    /// Slice lengths straddling the staging-block edges of `T`.
+    fn block_edge_lengths<T: PmemScalar>() -> [usize; 5] {
+        let block = STAGING_BLOCK_BYTES / T::SIZE;
+        [1, block - 1, block, block + 1, 3 * block + 5]
+    }
+
+    /// Stores `len` seeded elements at `start` (plain, then transactional),
+    /// and checks the pool's bytes are exactly their little-endian image,
+    /// the neighbours are untouched, and `load_slice` decodes the image back.
+    fn check_block_edges<T: PmemScalar>(start: u64, len: usize, seed: u64) {
+        let pool = pool();
+        let array = PersistentArray::<T>::allocate(&pool, start + len as u64 + 1).unwrap();
+        let sentinel = vec![0xA5u8; T::SIZE];
+        let mut rng = TestRng::from_seed(seed);
+        let mut image = vec![0u8; len * T::SIZE];
+        for byte in image.iter_mut() {
+            *byte = rng.next_u64() as u8;
+        }
+        let values: Vec<T> = image.chunks_exact(T::SIZE).map(T::read_le).collect();
+        let base = array.typed_oid().oid().offset + start * T::SIZE as u64;
+        for tx in [false, true] {
+            array.fill(T::read_le(&sentinel)).unwrap();
+            if tx {
+                array.store_slice_tx(start, &values).unwrap();
+            } else {
+                array.store_slice(start, &values).unwrap();
+            }
+            let mut raw = vec![0u8; (len + 2) * T::SIZE];
+            pool.read(base - T::SIZE as u64, &mut raw).unwrap();
+            let (before, rest) = raw.split_at(T::SIZE);
+            let (stored, after) = rest.split_at(len * T::SIZE);
+            assert_eq!(stored, &image[..], "tx={tx}: stored bytes differ");
+            assert_eq!((before, after), (&sentinel[..], &sentinel[..]));
+            let mut back = vec![T::default(); len];
+            array.load_slice(start, &mut back).unwrap();
+            let mut decoded = vec![0u8; len * T::SIZE];
+            for (value, out) in back.iter().zip(decoded.chunks_exact_mut(T::SIZE)) {
+                value.write_le(out);
+            }
+            assert_eq!(decoded, image, "tx={tx}: loaded values differ");
+        }
+        let mut too_long = vec![T::default(); len + 2];
+        assert!(array.load_slice(start, &mut too_long).is_err());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        #[test]
+        fn prop_slices_round_trip_across_block_edges(start in 1u64..64, seed in any::<u64>()) {
+            fn check_all<T: PmemScalar>(start: u64, seed: u64) {
+                for len in block_edge_lengths::<T>() {
+                    check_block_edges::<T>(start, len, seed);
+                }
+            }
+            check_all::<f64>(start, seed);
+            check_all::<f32>(start, seed);
+            check_all::<u64>(start, seed);
+            check_all::<u32>(start, seed);
+            check_all::<i64>(start, seed);
+            check_all::<i32>(start, seed);
+        }
     }
 
     proptest! {

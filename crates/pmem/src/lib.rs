@@ -77,7 +77,7 @@ pub mod residency;
 pub mod tx;
 
 pub use alloc::AllocStats;
-pub use array::{PersistentArray, PmemScalar};
+pub use array::{PersistentArray, PmemScalar, STAGING_BLOCK_BYTES};
 pub use backend::{FileBackend, PoolBackend, SharedBackend, SharedRegionBackend, VolatileBackend};
 pub use checkpoint::{
     CheckpointCrash, CheckpointPhase, CheckpointRegion, CheckpointStats, Checkpointable,

@@ -6,18 +6,28 @@
 //! the CXL expander by `cxl-pmem` — which is exactly the programming-model
 //! portability argument the paper makes.
 //!
-//! The execution core stages as little as possible: each worker loads only
-//! the arrays its kernel *reads* into a reusable per-worker scratch buffer
-//! (no per-invocation allocation), stores only the array the kernel *writes*,
-//! and issues one `flush` for its whole chunk. A single `drain` fence per
-//! kernel invocation then makes every chunk durable — the persist-granularity
-//! batching that keeps the PMDK overhead at the paper's 10–15 % instead of a
-//! per-range fence storm.
+//! The execution core stages as little as possible, through a cache-sized
+//! block. Each worker walks its chunk `[lo, hi)` in blocks of 8192 elements
+//! (one 64 KiB [`pmem::STAGING_BLOCK_BYTES`] block per array): it loads this
+//! block of only the arrays its kernel *reads*, applies the kernel, and
+//! stores this block of the one array the kernel *writes*, so the block
+//! stays in cache from load to store and no whole-chunk copy is ever made.
+//! After its last block the worker issues one `flush` for its whole chunk,
+//! and a single `drain` fence per kernel invocation then makes every chunk
+//! durable — the persist-granularity batching that keeps the PMDK overhead
+//! at the paper's 10–15 % instead of a per-range fence storm:
 //!
-//! The scratch buffers live **with the stream**, matching the persistent
-//! [`PinnedPool`] worker lifecycle: the resident workers re-claim the same
-//! [`PerWorker`] slots on every `run` (and every epoch within a run) instead
-//! of getting freshly allocated staging buffers per call.
+//! ```text
+//! worker t:  for each block in [lo, hi):  load_slice(inputs) → apply → store_slice(output)
+//!            flush(output, lo, hi - lo)            (one per worker, no fence)
+//! caller:    drain()                               (one per invocation)
+//! ```
+//!
+//! The scratch buffers (at most one block per array) live **with the
+//! stream**, matching the persistent [`PinnedPool`] worker lifecycle: the
+//! resident workers re-claim the same [`PerWorker`] slots on every `run`
+//! (and every epoch within a run) instead of getting freshly allocated
+//! staging buffers per call.
 
 use crate::exec::{AccessSink, PerWorker};
 use crate::kernels::{Kernel, StreamArray, StreamConfig};
@@ -27,10 +37,12 @@ use pmem::{PersistentArray, PmemPool, Result as PmemResult, TypedOid};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Per-worker staging buffers, reused across every kernel invocation of
-/// every run of the stream (the old path rebuilt the whole set per `run`
-/// call, and before that allocated three fresh `Vec`s per worker per
-/// invocation).
+/// Elements of one staged block: one [`pmem::STAGING_BLOCK_BYTES`] block of
+/// `f64`s per array, so a block's load → kernel → store stays in cache.
+const BLOCK_ELEMS: usize = pmem::STAGING_BLOCK_BYTES / std::mem::size_of::<f64>();
+
+/// Per-worker staging buffers of at most one block per array, reused across
+/// every kernel invocation of every run of the stream.
 #[derive(Default)]
 struct Scratch {
     a: Vec<f64>,
@@ -39,10 +51,14 @@ struct Scratch {
 }
 
 impl Scratch {
-    fn resize(&mut self, len: usize) {
-        self.a.resize(len, 0.0);
-        self.b.resize(len, 0.0);
-        self.c.resize(len, 0.0);
+    /// Grows each buffer to `len` elements (never past one block).
+    fn grow(&mut self, len: usize) {
+        let len = len.min(BLOCK_ELEMS);
+        if self.a.len() < len {
+            self.a.resize(len, 0.0);
+            self.b.resize(len, 0.0);
+            self.c.resize(len, 0.0);
+        }
     }
 }
 
@@ -148,28 +164,38 @@ impl<'p> PmemStream<'p> {
             }
             let len = hi - lo;
             scratch.with(ctx.thread, |s| {
-                s.resize(len);
+                s.grow(len);
                 // Stage only the inputs this kernel reads; the unread buffers
                 // keep stale contents that the kernel never looks at.
                 let (reads_a, reads_b, reads_c) = kernel.reads();
-                if reads_a {
-                    self.a.load_slice(lo as u64, &mut s.a)?;
-                }
-                if reads_b {
-                    self.b.load_slice(lo as u64, &mut s.b)?;
-                }
-                if reads_c {
-                    self.c.load_slice(lo as u64, &mut s.c)?;
-                }
-                kernel.apply(&mut s.a, &mut s.b, &mut s.c, scalar);
-                // Store and flush (no fence) the one array the kernel wrote;
-                // the caller issues a single drain for all chunks.
-                let (output, buf) = match kernel.output() {
-                    StreamArray::A => (&self.a, &s.a),
-                    StreamArray::B => (&self.b, &s.b),
-                    StreamArray::C => (&self.c, &s.c),
+                let output = match kernel.output() {
+                    StreamArray::A => &self.a,
+                    StreamArray::B => &self.b,
+                    StreamArray::C => &self.c,
                 };
-                output.store_slice(lo as u64, buf)?;
+                for block in (lo..hi).step_by(BLOCK_ELEMS) {
+                    let n = BLOCK_ELEMS.min(hi - block);
+                    let (a, b, c) = (&mut s.a[..n], &mut s.b[..n], &mut s.c[..n]);
+                    if reads_a {
+                        self.a.load_slice(block as u64, a)?;
+                    }
+                    if reads_b {
+                        self.b.load_slice(block as u64, b)?;
+                    }
+                    if reads_c {
+                        self.c.load_slice(block as u64, c)?;
+                    }
+                    kernel.apply(a, b, c, scalar);
+                    let written = match kernel.output() {
+                        StreamArray::A => &*a,
+                        StreamArray::B => &*b,
+                        StreamArray::C => &*c,
+                    };
+                    output.store_slice(block as u64, written)?;
+                }
+                // One flush (no fence) for the worker's whole chunk of the
+                // array the kernel wrote; the caller issues a single drain
+                // for all chunks.
                 output.flush(lo as u64, len as u64)?;
                 if let Some(sink) = &self.tracker {
                     crate::exec::record_kernel_span(sink.as_ref(), kernel, lo, hi);
@@ -305,6 +331,66 @@ mod tests {
             after.bytes_persisted - before.bytes_persisted,
             invocations * written_per_invocation
         );
+    }
+
+    /// The largest staging buffer any worker slot of `stream` holds.
+    fn scratch_elems(stream: &PmemStream<'_>) -> usize {
+        (0..stream.scratch.len())
+            .map(|t| {
+                stream.scratch.with(t, |s| {
+                    [&s.a, &s.b, &s.c]
+                        .iter()
+                        .map(|v| v.len().max(v.capacity()))
+                        .max()
+                        .unwrap_or(0)
+                })
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "each worker spans several 8192-element blocks")]
+    fn multi_block_chunks_keep_the_persist_contract_and_bounded_scratch() {
+        let threads = 3;
+        let workers = worker_pool(threads);
+        // Each worker's chunk spans two or five whole blocks plus a ragged
+        // tail; the scratch must stay one block per array either way.
+        for elements in [
+            threads * (2 * BLOCK_ELEMS + 1_000) + 2,
+            threads * (5 * BLOCK_ELEMS + 7),
+        ] {
+            let pool = pmem_pool(8 * 1024 * 1024);
+            let config = StreamConfig::small(elements);
+            let mut stream = PmemStream::initiate(&pool, config).unwrap();
+            stream.scratch = PerWorker::new(threads, |_| Scratch::default());
+            for _ in 0..config.ntimes {
+                for kernel in Kernel::ALL {
+                    let before = pool.persist_stats();
+                    stream
+                        .run_kernel_once(kernel, &workers, &stream.scratch)
+                        .unwrap();
+                    let after = pool.persist_stats();
+                    assert!(after.flushes - before.flushes <= threads as u64);
+                    assert_eq!(after.drains - before.drains, 1);
+                    assert_eq!(
+                        after.bytes_persisted - before.bytes_persisted,
+                        elements as u64 * 8
+                    );
+                }
+            }
+            assert!(stream.validate().unwrap() < 1e-12);
+            assert_eq!(scratch_elems(&stream), BLOCK_ELEMS, "{elements} elements");
+        }
+    }
+
+    #[test]
+    fn scratch_never_exceeds_the_chunk() {
+        let pool = pmem_pool(4 * 1024 * 1024);
+        let config = StreamConfig::small(sz(1_000));
+        let mut stream = PmemStream::initiate(&pool, config).unwrap();
+        stream.run(&worker_pool(2)).unwrap();
+        assert_eq!(scratch_elems(&stream), config.elements.div_ceil(2));
     }
 
     #[test]
