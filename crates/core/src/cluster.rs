@@ -977,6 +977,24 @@ mod tests {
     }
 
     #[test]
+    fn oversized_segment_and_store_shapes_are_typed_errors() {
+        let cluster = two_card_cluster(CoherenceMode::SoftwareManaged);
+        let host = cluster.host(0);
+        assert!(matches!(
+            host.create_segment("a", u64::MAX, 1),
+            Err(ClusterError::Cxl(_))
+        ));
+        assert!(matches!(
+            host.create_store("b", u64::MAX / 8, 4),
+            Err(ClusterError::Cxl(_))
+        ));
+        // Nothing leaked: the names stay free and the capacity unassigned.
+        assert_eq!(cluster.assigned_to(0), 0);
+        host.create_segment("a", DATA, CHUNK).unwrap();
+        host.create_store("b", 64, 64).unwrap();
+    }
+
+    #[test]
     fn cross_host_restart_after_mid_commit_crash() {
         let cluster = two_card_cluster(CoherenceMode::SoftwareManaged);
         let golden = image(2);

@@ -563,15 +563,6 @@ pub struct MigrationCrash {
     pub point: CrashPoint,
 }
 
-fn point_ordinal(point: CrashPoint) -> usize {
-    match point {
-        CrashPoint::AfterLogAppend => 0,
-        CrashPoint::BeforeCommit => 1,
-        CrashPoint::AfterCommit => 2,
-        CrashPoint::DuringRecovery => 3,
-    }
-}
-
 /// Outcome of one migration pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MigrationStats {
@@ -872,7 +863,7 @@ impl TieredRegion {
 
         // Phase 1: shadow copies, one flush per chunk, drain per dest tier.
         let crash_at_copy = match crash {
-            Some(c) if c.phase == MigrationPhase::Copy => Some(point_ordinal(c.point)),
+            Some(c) if c.phase == MigrationPhase::Copy => Some(c.point.ordinal()),
             _ => None,
         };
         let region = &*self;

@@ -117,9 +117,9 @@ impl PersistentHeap {
         if bytes == 0 {
             return Err(PmemError::SizeOverflow);
         }
-        let payload = bytes.div_ceil(ALLOC_ALIGN) * ALLOC_ALIGN;
-        let needed = payload
-            .checked_add(BLOCK_HEADER)
+        let needed = bytes
+            .checked_next_multiple_of(ALLOC_ALIGN)
+            .and_then(|payload| payload.checked_add(BLOCK_HEADER))
             .ok_or(PmemError::SizeOverflow)?;
         let mut cursor = self.heap_start;
         let mut largest_free = 0u64;

@@ -28,52 +28,42 @@
 //!      └──────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! Epoch `e` lives in slot `e % 2`, so committing epoch `e + 1` never touches
-//! the slot holding epoch `e`.
+//! The two-slot discipline is the crate's epoch primitive (`epoch.rs`),
+//! shared with [`ObjectStore`] and [`ResidencyMap`]: epoch `e` lives in slot
+//! `e % 2`, the descriptor header and its checked sizing are written there
+//! once, and so is the commit record, one undo-log transaction that pool-open
+//! recovery rolls back when a crash strands it.
 //!
-//! # Two-slot commit protocol
+//! # Checkpoint phases
 //!
-//! A checkpoint of epoch `e + 1` (current committed epoch `e`) runs three
-//! phases against slot `s = (e + 1) % 2`:
+//! A checkpoint of epoch `e + 1` fills slot `(e + 1) % 2` in two phases of
+//! its own before the commit record names it:
 //!
 //! 1. **Chunk flush** — every *dirty* chunk (content hash differs from what
-//!    slot `s` already holds) is written into the slot and flushed without a
-//!    fence; the phase ends with a **single drain**. Fan-out across workers is
-//!    pluggable via [`ChunkExecutor`]: each lane issues one flush batch, the
-//!    submitter drains once — the `PersistStats` discipline of the STREAM-PMem
-//!    hot path.
-//! 2. **Header write** — the slot header (epoch, combined data hash, header
-//!    checksum) is written and persisted. The slot is now *valid but
-//!    uncommitted*: the descriptor still names epoch `e`.
-//! 3. **Commit** — the descriptor's `committed_epoch` is advanced to `e + 1`
-//!    inside a pool **transaction**, so the existing [`TxLog`] machinery is the
-//!    slot-commit record: a crash before the commit record clears leaves an
-//!    active undo log, and pool-open recovery rolls the descriptor back to
-//!    epoch `e`.
+//!    the slot already holds) is written and flushed through a
+//!    [`ChunkExecutor`], one flush batch per lane, then drained **once**. An
+//!    unchanged region flushes zero chunks; a one-chunk change flushes one.
+//! 2. **Header write** — the slot header (epoch, combined data hash,
+//!    checksum) is persisted: the slot is valid but not yet committed.
+//! 3. **Commit** — the descriptor's `committed_epoch` advances to `e + 1`.
 //!
-//! On [`open`](CheckpointRegion::open), the descriptor (post-recovery, hence
-//! never torn) names the committed epoch; the slot holding it is validated
-//! (header checksum + recomputed data hash). A slot torn by a crash mid-phase
-//! either is not the committed one (phases 1–2 crash) or cannot exist (the
-//! drain in phase 1 and the persist in phase 2 order all slot bytes before the
-//! commit record). Defensively, a committed slot that fails validation falls
-//! back to the other valid slot and repairs the descriptor.
+//! Both phases order every slot byte before the commit record, so the
+//! committed slot never tears. [`open`](CheckpointRegion::open) still
+//! validates it (header checksum and recomputed chunk hashes, which seed the
+//! incremental cache); a slot corrupted from outside falls back to the other
+//! valid slot and repairs the descriptor.
 //!
-//! Incremental checkpoints track per-chunk content hashes per slot (recomputed
-//! on open), so an unchanged region performs **zero** chunk flushes and a
-//! one-chunk change flushes exactly one chunk plus the header.
-//!
-//! Crash injection composes [`CrashPoint`] with [`CheckpointPhase`]: the phase
-//! picks the pipeline stage, the point picks the sub-position within it (or
-//! the transaction-level site for the commit phase). Injection is
+//! Crash injection composes [`CrashPoint`] with [`CheckpointPhase`], and is
 //! deterministic under [`SerialExecutor`].
 //!
-//! [`TxLog`]: crate::tx::TxLog
+//! [`ObjectStore`]: crate::ObjectStore
+//! [`ResidencyMap`]: crate::ResidencyMap
 
 use crate::array::PmemScalar;
+use crate::epoch::{self, CommitCrash, Descriptor, PoolRef, Spec};
 use crate::error::PmemError;
 use crate::oid::PmemOid;
-use crate::pool::{fnv1a, PmemPool, MIN_POOL_SIZE};
+use crate::pool::{fnv1a, PmemPool};
 use crate::tx::CrashPoint;
 use crate::Result;
 use std::sync::Arc;
@@ -88,10 +78,22 @@ pub const REGION_VERSION: u32 = 1;
 const DESC_SIZE: u64 = 64;
 /// Bytes reserved per slot header.
 const SLOT_HEADER_SIZE: u64 = 64;
-/// Offset of `committed_epoch` within the descriptor.
+/// Offset of `committed_epoch` within the descriptor (its first own word).
 const COMMITTED_AT: u64 = 32;
 /// Bytes actually written for a slot header (magic, epoch, data_hash, checksum).
 const SLOT_HEADER_LEN: usize = 32;
+
+/// The region's two-slot epoch layout: shape `[data_len, chunk_len]`, one
+/// unit per chunk, each holding a chunk in both slots.
+pub(crate) const SPEC: Spec = Spec {
+    magic: REGION_MAGIC,
+    version: REGION_VERSION,
+    desc_size: DESC_SIZE,
+    fixed: DESC_SIZE + 2 * SLOT_HEADER_SIZE,
+    entry: 0,
+    units: |[data_len, chunk_len]| (data_len.div_ceil(chunk_len.max(1)), chunk_len.max(1)),
+    error: PmemError::Checkpoint,
+};
 
 /// Which pipeline stage of a checkpoint an injected crash fires in.
 ///
@@ -106,21 +108,14 @@ pub enum CheckpointPhase {
     /// after every dirty chunk but before the drain — a `ChunkFlush`
     /// injection always aborts the checkpoint.
     ChunkFlush,
-    /// While the slot header is written. The [`CrashPoint`] ordinal selects:
-    /// 0 = before any header byte, 1 = after half the header (torn header,
-    /// caught by the checksum), 2 = after the header bytes but before the
-    /// persist, 3 = after the persist (valid but uncommitted slot).
+    /// While the slot header is written, torn by the [`CrashPoint`] ordinal:
+    /// 0 nothing, 1 half (caught by the checksum), 2 unpersisted, 3 persisted.
     HeaderWrite,
-    /// Inside the descriptor-update transaction — the slot-commit record. The
-    /// [`CrashPoint`] is armed on the pool and fires at its native
-    /// transaction site ([`CrashPoint::DuringRecovery`] never fires inside a
-    /// transaction, so that cell commits cleanly).
+    /// Inside the commit record: the [`CrashPoint`] fires at its native
+    /// transaction site (`DuringRecovery` never fires there and commits).
     Commit,
-    /// During the recovery that follows an interrupted commit: the commit
-    /// transaction is crashed at [`CrashPoint::BeforeCommit`] to strand the
-    /// undo log, and the [`CrashPoint`] is left armed on the pool so the next
-    /// [`PmemPool::recover`] call hits it (only
-    /// [`CrashPoint::DuringRecovery`] actually fires there).
+    /// In the recovery after a commit stranded at [`CrashPoint::BeforeCommit`]:
+    /// the point stays armed for the next [`PmemPool::recover`].
     Recovery,
 }
 
@@ -141,17 +136,6 @@ pub struct CheckpointCrash {
     pub phase: CheckpointPhase,
     /// Sub-position within the stage (see [`CheckpointPhase`]).
     pub point: CrashPoint,
-}
-
-/// Ordinal of a crash point, used as the deterministic sub-position inside
-/// the chunk-flush and header-write phases.
-pub(crate) fn point_ordinal(point: CrashPoint) -> usize {
-    match point {
-        CrashPoint::AfterLogAppend => 0,
-        CrashPoint::BeforeCommit => 1,
-        CrashPoint::AfterCommit => 2,
-        CrashPoint::DuringRecovery => 3,
-    }
 }
 
 /// Outcome counters of one committed checkpoint.
@@ -232,51 +216,16 @@ struct SlotHeader {
 }
 
 impl SlotHeader {
+    /// The sealed record: magic, epoch, data hash, checksum.
     fn to_bytes(self) -> [u8; SLOT_HEADER_LEN] {
-        let mut out = [0u8; SLOT_HEADER_LEN];
-        out[0..8].copy_from_slice(&SLOT_MAGIC.to_le_bytes());
-        out[8..16].copy_from_slice(&self.epoch.to_le_bytes());
-        out[16..24].copy_from_slice(&self.data_hash.to_le_bytes());
-        let checksum = fnv1a(&out[..24]);
-        out[24..32].copy_from_slice(&checksum.to_le_bytes());
-        out
+        epoch::seal([SLOT_MAGIC, self.epoch, self.data_hash])
     }
 
     /// Parses and validates a header; `None` for anything torn or foreign.
-    fn from_bytes(bytes: &[u8]) -> Option<SlotHeader> {
-        let read = |at: usize| {
-            let mut buf = [0u8; 8];
-            // in-bounds: at ∈ {0, 8, 16, 24}; callers pass SLOT_HEADER_LEN bytes.
-            buf.copy_from_slice(&bytes[at..at + 8]);
-            u64::from_le_bytes(buf)
-        };
-        if read(0) != SLOT_MAGIC || fnv1a(&bytes[..24]) != read(24) {
-            return None;
-        }
-        Some(SlotHeader {
-            epoch: read(8),
-            data_hash: read(16),
-        })
-    }
-}
-
-/// How a region addresses its pool: borrowed for the classic in-stack use,
-/// or shared ownership for long-lived handles (the disaggregated cluster
-/// keeps one region per host segment, preserving the incremental chunk-hash
-/// cache across checkpoint calls instead of re-validating both slots each
-/// time).
-#[derive(Debug)]
-pub(crate) enum PoolRef<'p> {
-    Borrowed(&'p PmemPool),
-    Shared(Arc<PmemPool>),
-}
-
-impl std::ops::Deref for PoolRef<'_> {
-    type Target = PmemPool;
-    fn deref(&self) -> &PmemPool {
-        match self {
-            PoolRef::Borrowed(pool) => pool,
-            PoolRef::Shared(pool) => pool,
+    fn from_bytes(bytes: &[u8; SLOT_HEADER_LEN]) -> Option<SlotHeader> {
+        match epoch::unseal(bytes)? {
+            [SLOT_MAGIC, epoch, data_hash] => Some(SlotHeader { epoch, data_hash }),
+            _ => None,
         }
     }
 }
@@ -311,18 +260,16 @@ impl std::fmt::Debug for CheckpointRegion<'_> {
 impl<'p> CheckpointRegion<'p> {
     // ---------------------------------------------------------------- sizing
 
-    /// Bytes the region occupies inside a pool.
+    /// Bytes the region occupies inside a pool, saturating at `u64::MAX`
+    /// for a shape no pool can hold.
     pub fn region_size(data_len: u64, chunk_len: u64) -> u64 {
-        let stride = data_len.div_ceil(chunk_len.max(1)) * chunk_len.max(1);
-        DESC_SIZE + 2 * SLOT_HEADER_SIZE + 2 * stride
+        SPEC.region_size([data_len, chunk_len])
     }
 
-    /// A pool size comfortably fitting one region of this shape
-    /// ([`MIN_POOL_SIZE`] covers the pool header and undo log; the slack
-    /// covers heap bookkeeping) — what the runtime's `checkpoint_region`
-    /// helper provisions.
+    /// A pool size comfortably fitting one region of this shape (what the
+    /// runtime's `checkpoint_region` provisions); saturates likewise.
     pub fn required_pool_size(data_len: u64, chunk_len: u64) -> u64 {
-        MIN_POOL_SIZE + Self::region_size(data_len, chunk_len) + 64 * 1024
+        SPEC.required_pool_size([data_len, chunk_len])
     }
 
     // ---------------------------------------------------------------- create
@@ -335,78 +282,44 @@ impl<'p> CheckpointRegion<'p> {
                 "data_len and chunk_len must be non-zero",
             ));
         }
-        let chunk_count = data_len.div_ceil(chunk_len);
-        let oid = pool.alloc_bytes(Self::region_size(data_len, chunk_len))?;
-        let base = oid.offset;
         // Descriptor: magic, version, data_len, chunk_len, committed_epoch=0.
-        let mut desc = [0u8; DESC_SIZE as usize];
-        desc[0..8].copy_from_slice(&REGION_MAGIC.to_le_bytes());
-        desc[8..12].copy_from_slice(&REGION_VERSION.to_le_bytes());
-        desc[16..24].copy_from_slice(&data_len.to_le_bytes());
-        desc[24..32].copy_from_slice(&chunk_len.to_le_bytes());
-        desc[32..40].copy_from_slice(&0u64.to_le_bytes());
-        pool.write(base, &desc)?;
+        let desc = SPEC.format(PoolRef::Borrowed(pool), [data_len, chunk_len])?;
+        let base = desc.base;
         // Slot headers: explicitly invalidated (the heap may hand back a
         // recycled block still carrying an old region's headers).
         let zeros = [0u8; SLOT_HEADER_LEN];
         pool.write(base + DESC_SIZE, &zeros)?;
         pool.write(base + DESC_SIZE + SLOT_HEADER_SIZE, &zeros)?;
         pool.persist(base, DESC_SIZE + 2 * SLOT_HEADER_SIZE)?;
-        Ok(CheckpointRegion {
-            pool: PoolRef::Borrowed(pool),
-            base,
+        Ok(Self::from_descriptor(desc))
+    }
+
+    /// A handle on the region `desc` describes, with every chunk's hash
+    /// unknown (dirty). The shape fits the pool, which bounds the caches.
+    fn from_descriptor(desc: Descriptor<'p>) -> Self {
+        let ([data_len, chunk_len], [committed, _]) = (desc.shape, desc.own);
+        let chunk_count = data_len.div_ceil(chunk_len) as usize;
+        CheckpointRegion {
+            committed,
+            pool: desc.pool,
+            base: desc.base,
             data_len,
             chunk_len,
-            chunk_count: chunk_count as usize,
-            committed: 0,
-            hashes: [
-                vec![None; chunk_count as usize],
-                vec![None; chunk_count as usize],
-            ],
+            chunk_count,
+            hashes: [vec![None; chunk_count], vec![None; chunk_count]],
             crash: None,
-        })
+        }
     }
 
     /// Opens an existing region at `oid` (typically after a pool reopen),
     /// validating the committed slot and rebuilding the chunk-hash caches.
     pub fn open(pool: &'p PmemPool, oid: PmemOid) -> Result<Self> {
-        Self::open_at(PoolRef::Borrowed(pool), oid)
+        Self::open_at(SPEC.open(PoolRef::Borrowed(pool), oid)?)
     }
 
-    fn open_at(pool: PoolRef<'p>, oid: PmemOid) -> Result<Self> {
-        let base = oid.offset;
-        let mut desc = [0u8; DESC_SIZE as usize];
-        pool.read(base, &mut desc)?;
-        let read = |at: usize| {
-            let mut buf = [0u8; 8];
-            // in-bounds: at ∈ {0, 16, 24, 32} and desc is DESC_SIZE = 64 bytes.
-            buf.copy_from_slice(&desc[at..at + 8]);
-            u64::from_le_bytes(buf)
-        };
-        if read(0) != REGION_MAGIC {
-            return Err(PmemError::Checkpoint("region descriptor magic mismatch"));
-        }
-        let version = u32::from_le_bytes([desc[8], desc[9], desc[10], desc[11]]);
-        if version != REGION_VERSION {
-            return Err(PmemError::Checkpoint("unsupported region version"));
-        }
-        let data_len = read(16);
-        let chunk_len = read(24);
-        let committed = read(32);
-        if data_len == 0 || chunk_len == 0 {
-            return Err(PmemError::Checkpoint("corrupt region descriptor"));
-        }
-        let chunk_count = data_len.div_ceil(chunk_len) as usize;
-        let mut region = CheckpointRegion {
-            pool,
-            base,
-            data_len,
-            chunk_len,
-            chunk_count,
-            committed,
-            hashes: [vec![None; chunk_count], vec![None; chunk_count]],
-            crash: None,
-        };
+    /// Opens the region `desc` describes, validating its slots.
+    fn open_at(desc: Descriptor<'p>) -> Result<Self> {
+        let mut region = Self::from_descriptor(desc);
         // Validate both slots; a valid slot seeds the incremental hash cache.
         let mut valid_epoch = [None::<u64>; 2];
         for (slot, valid) in valid_epoch.iter_mut().enumerate() {
@@ -416,30 +329,25 @@ impl<'p> CheckpointRegion<'p> {
                 region.hashes[slot] = chunk_hashes.into_iter().map(Some).collect();
             }
         }
-        if committed > 0 {
-            let slot = Self::slot_for(committed);
-            // in-bounds: slot_for returns epoch % 2, valid_epoch has two slots.
-            if valid_epoch[slot] != Some(committed) {
-                // The protocol never lets the committed slot tear (its bytes
-                // are drained before the commit record); this path handles
-                // external corruption by falling back to the other valid slot
-                // and repairing the descriptor.
-                let other = 1 - slot;
-                // in-bounds: other ∈ {0, 1} because slot is.
-                match valid_epoch[other] {
-                    Some(epoch) if epoch < committed => {
-                        region
-                            .pool
-                            .run_tx(|tx| tx.write(base + COMMITTED_AT, &epoch.to_le_bytes()))?;
-                        region.committed = epoch;
-                    }
-                    _ => {
-                        return Err(PmemError::Checkpoint(
-                            "committed slot failed validation and no fallback slot is valid",
-                        ))
-                    }
-                }
-            }
+        let committed = region.committed;
+        let slot = Self::slot_for(committed);
+        // in-bounds: slot_for returns epoch % 2, valid_epoch has two slots.
+        if committed > 0 && valid_epoch[slot] != Some(committed) {
+            // The protocol never lets the committed slot tear (its bytes are
+            // drained before the commit record); this path handles external
+            // corruption by falling back to the other valid slot and
+            // repairing the descriptor.
+            // in-bounds: 1 - slot ∈ {0, 1} because slot is.
+            let epoch = valid_epoch[1 - slot]
+                .filter(|&epoch| epoch < committed)
+                .ok_or(PmemError::Checkpoint(
+                    "committed slot failed validation and no fallback slot is valid",
+                ))?;
+            let committed_at = region.base + COMMITTED_AT;
+            region
+                .pool
+                .run_tx(|tx| tx.write(committed_at, &epoch.to_le_bytes()))?;
+            region.committed = epoch;
         }
         Ok(region)
     }
@@ -450,18 +358,12 @@ impl<'p> CheckpointRegion<'p> {
     /// to keep one region — and its incremental chunk-hash cache — alive
     /// across checkpoint calls instead of re-validating both slots per call.
     pub fn open_root_shared(pool: Arc<PmemPool>) -> Result<CheckpointRegion<'static>> {
-        let (oid, _) = pool
-            .root()
-            .ok_or(PmemError::Checkpoint("pool has no root region"))?;
-        CheckpointRegion::open_at(PoolRef::Shared(pool), oid)
+        CheckpointRegion::open_at(SPEC.open_root(PoolRef::Shared(pool))?)
     }
 
     /// Opens the region registered as the pool's root object.
     pub fn open_root(pool: &'p PmemPool) -> Result<Self> {
-        let (oid, _) = pool
-            .root()
-            .ok_or(PmemError::Checkpoint("pool has no root region"))?;
-        Self::open(pool, oid)
+        Self::open_at(SPEC.open_root(PoolRef::Borrowed(pool))?)
     }
 
     /// Reads a slot header and, when it validates, recomputes the slot's
@@ -511,11 +413,11 @@ impl<'p> CheckpointRegion<'p> {
 
     /// The slot the *next* checkpoint will target.
     pub fn next_slot(&self) -> usize {
-        Self::slot_for(self.committed + 1)
+        epoch::staging_slot(self.committed)
     }
 
     fn slot_for(epoch: u64) -> usize {
-        (epoch % 2) as usize
+        epoch::slot_for(epoch)
     }
 
     fn header_off(&self, slot: usize) -> u64 {
@@ -589,7 +491,7 @@ impl<'p> CheckpointRegion<'p> {
         }
         let crash = self.crash.take();
         let epoch = self.committed + 1;
-        let slot = Self::slot_for(epoch);
+        let slot = epoch::staging_slot(self.committed);
 
         // Dirty set: chunks whose content differs from what the slot holds.
         let new_hashes = self.chunk_hashes_of(data);
@@ -606,7 +508,7 @@ impl<'p> CheckpointRegion<'p> {
 
         // Phase 1: chunk flush (fan-out), then a single drain.
         let crash_at_chunk = match crash {
-            Some(c) if c.phase == CheckpointPhase::ChunkFlush => Some(point_ordinal(c.point)),
+            Some(c) if c.phase == CheckpointPhase::ChunkFlush => Some(c.point.ordinal()),
             _ => None,
         };
         let bytes_written: u64 = dirty
@@ -640,63 +542,33 @@ impl<'p> CheckpointRegion<'p> {
             data_hash: combine_hashes(&new_hashes),
         }
         .to_bytes();
-        let header_off = self.header_off(slot);
-        if let Some(c) = crash {
-            if c.phase == CheckpointPhase::HeaderWrite {
-                match point_ordinal(c.point) {
-                    0 => {}
-                    1 => self
-                        .pool
-                        .write(header_off, &header[..SLOT_HEADER_LEN / 2])?,
-                    2 => self.pool.write(header_off, &header)?,
-                    _ => {
-                        self.pool.write(header_off, &header)?;
-                        self.pool.persist(header_off, SLOT_HEADER_LEN as u64)?;
-                    }
-                }
-                return Err(PmemError::InjectedCrash("checkpoint-header-write"));
-            }
+        let off = self.header_off(slot);
+        if let Some(c) = crash.filter(|c| c.phase == CheckpointPhase::HeaderWrite) {
+            let site = "checkpoint-header-write";
+            return Err(epoch::torn_write(&self.pool, off, &header, c.point, site));
         }
-        self.pool.write(header_off, &header)?;
-        self.pool.persist(header_off, SLOT_HEADER_LEN as u64)?;
+        self.pool.write(off, &header)?;
+        self.pool.persist(off, SLOT_HEADER_LEN as u64)?;
 
         // Phase 3: the commit record — descriptor update under the undo log.
-        match crash {
-            Some(c) if c.phase == CheckpointPhase::Commit => {
-                self.pool.set_crash_point(Some(c.point));
-            }
-            Some(c) if c.phase == CheckpointPhase::Recovery => {
-                // Strand the log mid-commit; the caller's next recover() run
-                // then hits the armed point (re-armed below).
-                self.pool.set_crash_point(Some(CrashPoint::BeforeCommit));
-            }
-            _ => {}
-        }
+        let commit_crash = crash.and_then(|c| match c.phase {
+            CheckpointPhase::Commit => Some(CommitCrash::InTx(c.point)),
+            CheckpointPhase::Recovery => Some(CommitCrash::Recovery(c.point)),
+            CheckpointPhase::ChunkFlush | CheckpointPhase::HeaderWrite => None,
+        });
         let committed_at = self.base + COMMITTED_AT;
-        let result = self
-            .pool
-            .run_tx(|tx| tx.write(committed_at, &epoch.to_le_bytes()));
-        match result {
-            Ok(()) => {
-                self.committed = epoch;
-                // in-bounds: slot_for keeps slot ∈ {0, 1}.
-                self.hashes[slot] = new_hashes.into_iter().map(Some).collect();
-                Ok(CheckpointStats {
-                    epoch,
-                    chunks_total: self.chunk_count,
-                    chunks_written: dirty.len(),
-                    bytes_written,
-                })
-            }
-            Err(e) => {
-                if let Some(c) = crash {
-                    if c.phase == CheckpointPhase::Recovery && e.is_injected_crash() {
-                        self.pool.set_crash_point(Some(c.point));
-                    }
-                }
-                Err(e)
-            }
-        }
+        epoch::commit_record(&self.pool, commit_crash, |tx| {
+            tx.write(committed_at, &epoch.to_le_bytes())
+        })?;
+        self.committed = epoch;
+        // in-bounds: staging_slot keeps slot ∈ {0, 1}.
+        self.hashes[slot] = new_hashes.into_iter().map(Some).collect();
+        Ok(CheckpointStats {
+            epoch,
+            chunks_total: self.chunk_count,
+            chunks_written: dirty.len(),
+            bytes_written,
+        })
     }
 
     // ---------------------------------------------------------------- read
@@ -711,8 +583,8 @@ impl<'p> CheckpointRegion<'p> {
                 "restore buffer does not match the region's data_len",
             ));
         }
-        let slot = Self::slot_for(self.committed);
-        self.pool.read(self.data_off(slot, 0), out)?;
+        self.pool
+            .read(self.data_off(Self::slot_for(self.committed), 0), out)?;
         Ok(self.committed)
     }
 
@@ -1145,5 +1017,47 @@ mod tests {
         assert_eq!(b.restore(&mut out_b).unwrap(), 1);
         assert_eq!(out_a, image(2));
         assert_eq!(out_b, small);
+    }
+
+    #[test]
+    fn oversized_shapes_are_typed_errors() {
+        let pool = PmemPool::create_volatile("ckpt", 1024 * 1024).unwrap();
+        assert!(matches!(
+            CheckpointRegion::format(&pool, u64::MAX, 1),
+            Err(PmemError::SizeOverflow)
+        ));
+        // The public sizes saturate; a saturated size fails allocation.
+        assert_eq!(CheckpointRegion::region_size(u64::MAX, 1), u64::MAX);
+        assert_eq!(CheckpointRegion::required_pool_size(u64::MAX, 1), u64::MAX);
+        assert!(pool.alloc_bytes(u64::MAX).is_err());
+        // A shape that sizes fine but exceeds the pool is out of memory.
+        assert!(matches!(
+            CheckpointRegion::format(&pool, 1 << 40, 1 << 20),
+            Err(PmemError::OutOfMemory { .. })
+        ));
+        CheckpointRegion::format(&pool, DATA, CHUNK).unwrap();
+    }
+
+    #[test]
+    fn open_rejects_a_descriptor_shape_larger_than_the_pool() {
+        let (_, pool) = pool_pair();
+        let mut region = CheckpointRegion::format(&pool, DATA, CHUNK).unwrap();
+        region.checkpoint(&image(1)).unwrap();
+        let oid = region.oid();
+        drop(region);
+        // data_len (descriptor byte 16) claims 1 TiB.
+        pool.write(oid.offset + 16, &(1u64 << 40).to_le_bytes())
+            .unwrap();
+        assert!(matches!(
+            CheckpointRegion::open(&pool, oid),
+            Err(PmemError::Checkpoint("corrupt descriptor"))
+        ));
+        pool.write(oid.offset + 16, &DATA.to_le_bytes()).unwrap();
+        assert_eq!(
+            CheckpointRegion::open(&pool, oid)
+                .unwrap()
+                .committed_epoch(),
+            1
+        );
     }
 }

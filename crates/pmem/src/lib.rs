@@ -26,6 +26,10 @@
 //!   of millions of small epoch-versioned objects whose per-object commit
 //!   records ride the undo log (double-buffered payload slots, checksummed
 //!   entries, its own crash-injection phases and tear matrix).
+//! * `epoch` (crate-private) — the two-slot epoch primitive under
+//!   [`checkpoint`], [`object`] and [`residency`]: the slot rule, the
+//!   descriptor header, checked sizing, root open, and crash injection at the
+//!   torn record write and the commit-record transaction.
 //! * [`residency`] — the durable chunk → tier table the adaptive tiering
 //!   engine commits its migrations through (the undo log is the migration
 //!   record, so a crash mid-migration rolls back to the source tier).
@@ -68,6 +72,7 @@ pub mod alloc;
 pub mod array;
 pub mod backend;
 pub mod checkpoint;
+mod epoch;
 pub mod error;
 pub mod object;
 pub mod oid;

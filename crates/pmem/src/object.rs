@@ -4,12 +4,12 @@
 //! The [`crate::checkpoint`] module versions one *region*; this module
 //! versions millions of *objects* with the same discipline, so a shared far
 //! memory segment can serve KV-style traffic instead of bulk snapshots. Every
-//! object gets two payload slots (double buffering, committed slot =
-//! `epoch % 2`) and one 40-byte directory entry that acts as its commit
-//! record. Entry updates ride the pool's undo log, so a torn commit rolls
-//! back to the previous version on recovery; payload bytes are drained
-//! *before* the entry transaction, so the version named by a committed entry
-//! is always bit-exact.
+//! object gets two payload slots and one 40-byte directory entry that acts as
+//! its commit record. The slot rule (epoch `e` in slot `e % 2`), the
+//! descriptor header, its checked sizing and the commit record itself are
+//! the crate's two-slot epoch primitive (`epoch.rs`), shared with
+//! [`CheckpointRegion`](crate::CheckpointRegion); this module owns the
+//! directory, the descriptor counters and the staging basis of each put.
 //!
 //! # Layout
 //!
@@ -26,30 +26,27 @@
 //!      └──────────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! # Commit protocol (per object)
+//! # Object phases
 //!
 //! 1. **Slot write** — [`ObjectStore::put`] writes the new payload into the
-//!    object's *staging* slot (`(epoch + 1) % 2`) and flushes it. The
-//!    committed slot is never touched.
-//! 2. **Drain** — [`ObjectStore::commit`] issues one `drain()`, making the
-//!    staged payload durable before any commit record can name it.
+//!    object's *staging* slot and flushes it; the committed slot is never
+//!    touched.
+//! 2. **Drain** — [`ObjectStore::commit`] issues one `drain()`, so the staged
+//!    payload is durable before any commit record can name it.
 //! 3. **Entry commit** — the new directory entry (epoch + 1, length, payload
-//!    hash, entry checksum) and the descriptor counters are written inside
-//!    one undo-log transaction. A crash before the log commit rolls the
-//!    entry back; a crash after it leaves the new version fully durable.
+//!    hash, entry checksum) and the descriptor counters form the commit
+//!    record: a crash before the log clears rolls the entry back.
 //!
 //! Readers validate the entry checksum and the payload hash on every
 //! [`ObjectStore::get`], so external corruption (or a bug in the protocol)
-//! surfaces as a typed error, never as silently torn bytes.
-//!
-//! Crash injection mirrors the checkpoint pipeline: [`ObjectPhase`] names the
-//! commit stage, [`CrashPoint`] the sub-position, and the exhaustive product
-//! is exercised by the `object_crash_matrix` integration suite.
+//! surfaces as a typed error, never as silently torn bytes. Crash injection
+//! pairs [`ObjectPhase`] with a [`CrashPoint`]; the `object_crash_matrix`
+//! suite runs the exhaustive product.
 
-use crate::checkpoint::{point_ordinal, PoolRef};
+use crate::epoch::{self, CommitCrash, Descriptor, PoolRef, Spec};
 use crate::error::PmemError;
 use crate::oid::PmemOid;
-use crate::pool::{fnv1a, PmemPool, MIN_POOL_SIZE};
+use crate::pool::{fnv1a, PmemPool};
 use crate::tx::CrashPoint;
 use crate::Result;
 use std::collections::HashMap;
@@ -63,32 +60,35 @@ const STORE_VERSION: u32 = 1;
 const DESC_SIZE: u64 = 64;
 /// Bytes per directory entry.
 const ENTRY_SIZE: u64 = 40;
-/// Checksummed prefix of a directory entry.
-const ENTRY_BODY: usize = 32;
 /// Descriptor offset of the commit-sequence counter.
 const COMMIT_SEQ_AT: u64 = 32;
 /// Descriptor offset of the live-object counter.
 const LIVE_AT: u64 = 40;
 
+/// The store's two-slot epoch layout: shape `[capacity, value_len]`, one
+/// unit per object, each a directory entry plus two payload slots.
+pub(crate) const SPEC: Spec = Spec {
+    magic: STORE_MAGIC,
+    version: STORE_VERSION,
+    desc_size: DESC_SIZE,
+    fixed: DESC_SIZE,
+    entry: ENTRY_SIZE,
+    units: |[capacity, value_len]| (capacity, value_len),
+    error: PmemError::ObjectStore,
+};
+
 /// Pipeline stage an [`ObjectCrash`] fires in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ObjectPhase {
-    /// While the staged payload is written + flushed into the staging slot.
-    /// The [`CrashPoint`] ordinal selects: 0 = before any payload byte,
-    /// 1 = after half the payload (torn slot), 2 = after the payload bytes
-    /// but before the flush, 3 = after the payload is fully persisted (a
-    /// complete but uncommitted version).
+    /// While the payload is written into the staging slot, torn by the
+    /// [`CrashPoint`] ordinal: 0 nothing, 1 half, 2 unflushed, 3 persisted.
     SlotWrite,
-    /// Inside the directory-entry transaction — the per-object commit
-    /// record. The [`CrashPoint`] is armed on the pool and fires at its
-    /// native transaction site ([`CrashPoint::DuringRecovery`] never fires
-    /// inside a transaction, so that cell commits cleanly).
+    /// Inside the entry commit record: the [`CrashPoint`] fires at its
+    /// native transaction site (`DuringRecovery` never fires there and
+    /// commits).
     EntryCommit,
-    /// During the recovery that follows an interrupted commit: the commit
-    /// transaction is crashed at [`CrashPoint::BeforeCommit`] to strand the
-    /// undo log, and the [`CrashPoint`] is left armed on the pool so the
-    /// next [`PmemPool::recover`] call hits it (only
-    /// [`CrashPoint::DuringRecovery`] actually fires there).
+    /// In the recovery after a commit stranded at [`CrashPoint::BeforeCommit`]:
+    /// the point stays armed for the next [`PmemPool::recover`].
     Recovery,
 }
 
@@ -119,43 +119,28 @@ struct Entry {
 }
 
 impl Entry {
-    /// Serialises the entry for object `id`: tag, epoch, length, payload
-    /// hash, then an FNV-1a checksum of those 32 bytes.
+    /// The sealed entry for object `id`: tag, epoch, length, payload hash,
+    /// checksum.
     fn to_bytes(self, id: u64) -> [u8; ENTRY_SIZE as usize] {
-        let mut bytes = [0u8; ENTRY_SIZE as usize];
-        bytes[0..8].copy_from_slice(&(id + 1).to_le_bytes());
-        bytes[8..16].copy_from_slice(&self.epoch.to_le_bytes());
-        bytes[16..24].copy_from_slice(&self.len.to_le_bytes());
-        bytes[24..32].copy_from_slice(&self.value_hash.to_le_bytes());
-        let checksum = fnv1a(&bytes[..ENTRY_BODY]);
-        bytes[32..40].copy_from_slice(&checksum.to_le_bytes());
-        bytes
+        epoch::seal([id + 1, self.epoch, self.len, self.value_hash])
     }
 
     /// Decodes an entry. `Ok(None)` = free slot; tag or checksum mismatches
     /// surface as typed errors (the entry is tx-guarded, so a mismatch means
     /// external corruption, not a protocol tear).
     fn from_bytes(bytes: &[u8; ENTRY_SIZE as usize], id: u64) -> Result<Option<Entry>> {
-        let word = |at: usize| {
-            let mut buf = [0u8; 8];
-            // in-bounds: at ∈ {0, 8, 16, 24, 32}; the entry is 40 bytes.
-            buf.copy_from_slice(&bytes[at..at + 8]);
-            u64::from_le_bytes(buf)
-        };
-        let tag = word(0);
-        if tag == 0 {
+        if epoch::word(bytes, 0) == 0 {
             return Ok(None);
         }
-        if word(32) != fnv1a(&bytes[..ENTRY_BODY]) {
-            return Err(PmemError::ObjectStore("directory entry checksum mismatch"));
-        }
+        let [tag, epoch, len, value_hash] = epoch::unseal(bytes)
+            .ok_or(PmemError::ObjectStore("directory entry checksum mismatch"))?;
         if tag != id + 1 {
             return Err(PmemError::ObjectStore("directory entry tag mismatch"));
         }
         Ok(Some(Entry {
-            epoch: word(8),
-            len: word(16),
-            value_hash: word(24),
+            epoch,
+            len,
+            value_hash,
         }))
     }
 }
@@ -213,17 +198,15 @@ impl<'p> ObjectStore<'p> {
     // ---------------------------------------------------------------- sizing
 
     /// Bytes the store occupies inside a pool: descriptor + directory + two
-    /// payload slots per object.
+    /// payload slots per object, saturating for a shape no pool can hold.
     pub fn region_size(capacity: u64, value_len: u64) -> u64 {
-        DESC_SIZE + capacity * ENTRY_SIZE + 2 * capacity * value_len
+        SPEC.region_size([capacity, value_len])
     }
 
-    /// A pool size comfortably fitting one store of this shape
-    /// ([`MIN_POOL_SIZE`] covers the pool header and undo log; the slack
-    /// covers heap bookkeeping) — what the cluster's `create_store`
-    /// provisions.
+    /// A pool size comfortably fitting one store of this shape (what the
+    /// cluster's `create_store` provisions); saturates likewise.
     pub fn required_pool_size(capacity: u64, value_len: u64) -> u64 {
-        MIN_POOL_SIZE + Self::region_size(capacity, value_len) + 64 * 1024
+        SPEC.required_pool_size([capacity, value_len])
     }
 
     // ---------------------------------------------------------------- create
@@ -236,25 +219,11 @@ impl<'p> ObjectStore<'p> {
                 "capacity and value_len must be non-zero",
             ));
         }
-        let dir_len = capacity
-            .checked_mul(ENTRY_SIZE)
-            .ok_or(PmemError::SizeOverflow)?;
-        let slots_len = capacity
-            .checked_mul(2 * value_len)
-            .ok_or(PmemError::SizeOverflow)?;
-        let region = DESC_SIZE
-            .checked_add(dir_len)
-            .and_then(|n| n.checked_add(slots_len))
-            .ok_or(PmemError::SizeOverflow)?;
-        let oid = pool.alloc_bytes(region)?;
-        let base = oid.offset;
-        let mut desc = [0u8; DESC_SIZE as usize];
-        desc[0..8].copy_from_slice(&STORE_MAGIC.to_le_bytes());
-        desc[8..12].copy_from_slice(&STORE_VERSION.to_le_bytes());
-        desc[16..24].copy_from_slice(&capacity.to_le_bytes());
-        desc[24..32].copy_from_slice(&value_len.to_le_bytes());
-        // commit_seq and live start at zero (already zeroed above).
-        pool.write(base, &desc)?;
+        // commit_seq and live start at zero.
+        let desc = SPEC.format(PoolRef::Borrowed(pool), [capacity, value_len])?;
+        let base = desc.base;
+        // The region fits the pool, so the directory length cannot overflow.
+        let dir_len = capacity * ENTRY_SIZE;
         // The directory must be explicitly freed: the heap may hand back a
         // recycled block still carrying another store's entries. Payload
         // slots need no scrub — only a committed entry makes one visible.
@@ -267,74 +236,43 @@ impl<'p> ObjectStore<'p> {
             written += step;
         }
         pool.persist(base, DESC_SIZE + dir_len)?;
-        Ok(ObjectStore {
-            pool: PoolRef::Borrowed(pool),
-            base,
-            capacity,
-            value_len,
-            commit_seq: 0,
-            live: 0,
-            staged: HashMap::new(),
-            crash: None,
-        })
+        Ok(Self::from_descriptor(desc))
     }
 
     /// Opens an existing store at `oid` (typically after a pool reopen),
     /// validating the descriptor.
     pub fn open(pool: &'p PmemPool, oid: PmemOid) -> Result<Self> {
-        Self::open_at(PoolRef::Borrowed(pool), oid)
+        SPEC.open(PoolRef::Borrowed(pool), oid)
+            .map(Self::from_descriptor)
     }
 
-    fn open_at(pool: PoolRef<'p>, oid: PmemOid) -> Result<Self> {
-        let base = oid.offset;
-        let mut desc = [0u8; DESC_SIZE as usize];
-        pool.read(base, &mut desc)?;
-        let word = |at: usize| {
-            let mut buf = [0u8; 8];
-            // in-bounds: at ∈ {0, 16, 24, 32, 40}; desc is 64 bytes.
-            buf.copy_from_slice(&desc[at..at + 8]);
-            u64::from_le_bytes(buf)
-        };
-        if word(0) != STORE_MAGIC {
-            return Err(PmemError::ObjectStore("store descriptor magic mismatch"));
-        }
-        let version = u32::from_le_bytes([desc[8], desc[9], desc[10], desc[11]]);
-        if version != STORE_VERSION {
-            return Err(PmemError::ObjectStore("unsupported store version"));
-        }
-        let capacity = word(16);
-        let value_len = word(24);
-        if capacity == 0 || value_len == 0 {
-            return Err(PmemError::ObjectStore("corrupt store descriptor"));
-        }
-        Ok(ObjectStore {
-            pool,
-            base,
+    /// A handle on the store `desc` describes.
+    fn from_descriptor(desc: Descriptor<'p>) -> Self {
+        let ([capacity, value_len], [commit_seq, live]) = (desc.shape, desc.own);
+        ObjectStore {
+            commit_seq,
+            live,
+            pool: desc.pool,
+            base: desc.base,
             capacity,
             value_len,
-            commit_seq: word(32),
-            live: word(40),
             staged: HashMap::new(),
             crash: None,
-        })
+        }
     }
 
     /// Opens the pool's root store with **shared ownership** of the pool, so
     /// the store can outlive the caller's stack frame — the disaggregated
     /// cluster's per-host store handles use this.
     pub fn open_root_shared(pool: Arc<PmemPool>) -> Result<ObjectStore<'static>> {
-        let (oid, _) = pool
-            .root()
-            .ok_or(PmemError::ObjectStore("pool has no root store"))?;
-        ObjectStore::open_at(PoolRef::Shared(pool), oid)
+        SPEC.open_root(PoolRef::Shared(pool))
+            .map(ObjectStore::from_descriptor)
     }
 
     /// Opens the store registered as the pool's root object.
     pub fn open_root(pool: &'p PmemPool) -> Result<Self> {
-        let (oid, _) = pool
-            .root()
-            .ok_or(PmemError::ObjectStore("pool has no root store"))?;
-        Self::open(pool, oid)
+        SPEC.open_root(PoolRef::Borrowed(pool))
+            .map(Self::from_descriptor)
     }
 
     // ------------------------------------------------------------- accessors
@@ -380,13 +318,8 @@ impl<'p> ObjectStore<'p> {
         self.base + DESC_SIZE + id * ENTRY_SIZE
     }
 
-    fn slot_off(&self, id: u64, slot: u64) -> u64 {
-        self.base + DESC_SIZE + self.capacity * ENTRY_SIZE + (id * 2 + slot) * self.value_len
-    }
-
-    /// Which payload slot holds epoch `e` (for `e ≥ 1`).
-    fn slot_for(epoch: u64) -> u64 {
-        epoch % 2
+    fn slot_off(&self, id: u64, slot: usize) -> u64 {
+        self.base + DESC_SIZE + self.capacity * ENTRY_SIZE + (id * 2 + slot as u64) * self.value_len
     }
 
     fn check_id(&self, id: u64) -> Result<()> {
@@ -402,11 +335,9 @@ impl<'p> ObjectStore<'p> {
         Entry::from_bytes(&bytes, id)
     }
 
-    /// Reads a descriptor counter (`COMMIT_SEQ_AT` / `LIVE_AT`) from media.
-    /// Mutations base their new counter values on this durable truth, not on
-    /// the handle's volatile snapshot — another handle on the same media
-    /// (e.g. another host of a shared segment) may have committed since this
-    /// one was opened.
+    /// Reads a descriptor counter (`COMMIT_SEQ_AT` / `LIVE_AT`) from media:
+    /// mutations build on this durable value, not the handle's snapshot, as
+    /// another handle on the same media may have committed since.
     fn desc_counter(&self, at: u64) -> Result<u64> {
         let mut buf = [0u8; 8];
         self.pool.read(self.base + at, &mut buf)?;
@@ -426,22 +357,10 @@ impl<'p> ObjectStore<'p> {
             ));
         }
         let epoch = self.read_entry(id)?.map_or(0, |e| e.epoch);
-        let off = self.slot_off(id, Self::slot_for(epoch + 1));
-        if let Some(c) = self.crash {
-            if c.phase == ObjectPhase::SlotWrite {
-                self.crash = None;
-                match point_ordinal(c.point) {
-                    0 => {}
-                    // in-bounds: value.len() / 2 ≤ value.len().
-                    1 => self.pool.write(off, &value[..value.len() / 2])?,
-                    2 => self.pool.write(off, value)?,
-                    _ => {
-                        self.pool.write(off, value)?;
-                        self.pool.persist(off, value.len() as u64)?;
-                    }
-                }
-                return Err(PmemError::InjectedCrash("object-slot-write"));
-            }
+        let off = self.slot_off(id, epoch::staging_slot(epoch));
+        if let Some(c) = self.crash.take_if(|c| c.phase == ObjectPhase::SlotWrite) {
+            let site = "object-slot-write";
+            return Err(epoch::torn_write(&self.pool, off, value, c.point, site));
         }
         self.pool.write(off, value)?;
         self.pool.flush(off, value.len() as u64)?;
@@ -502,41 +421,23 @@ impl<'p> ObjectStore<'p> {
             value_hash: staged.hash,
         }
         .to_bytes(id);
-        match crash {
-            Some(c) if c.phase == ObjectPhase::EntryCommit => {
-                self.pool.set_crash_point(Some(c.point));
-            }
-            Some(c) if c.phase == ObjectPhase::Recovery => {
-                // Strand the log mid-commit; the caller's next recover() run
-                // then hits the armed point (re-armed below).
-                self.pool.set_crash_point(Some(CrashPoint::BeforeCommit));
-            }
-            _ => {}
-        }
+        let commit_crash = crash.and_then(|c| match c.phase {
+            ObjectPhase::EntryCommit => Some(CommitCrash::InTx(c.point)),
+            ObjectPhase::Recovery => Some(CommitCrash::Recovery(c.point)),
+            ObjectPhase::SlotWrite => None,
+        });
         let entry_off = self.entry_off(id);
         let seq = self.desc_counter(COMMIT_SEQ_AT)? + 1;
         let live = self.desc_counter(LIVE_AT)? + u64::from(previous.is_none());
-        let result = self.pool.run_tx(|tx| {
+        epoch::commit_record(&self.pool, commit_crash, |tx| {
             tx.write(entry_off, &entry)?;
             tx.write(self.base + COMMIT_SEQ_AT, &seq.to_le_bytes())?;
             tx.write(self.base + LIVE_AT, &live.to_le_bytes())
-        });
-        match result {
-            Ok(()) => {
-                self.commit_seq = seq;
-                self.live = live;
-                self.staged.remove(&id);
-                Ok(epoch)
-            }
-            Err(e) => {
-                if let Some(c) = crash {
-                    if c.phase == ObjectPhase::Recovery && e.is_injected_crash() {
-                        self.pool.set_crash_point(Some(c.point));
-                    }
-                }
-                Err(e)
-            }
-        }
+        })?;
+        self.commit_seq = seq;
+        self.live = live;
+        self.staged.remove(&id);
+        Ok(epoch)
     }
 
     /// Stages and commits `value` as the next version of object `id`.
@@ -598,7 +499,7 @@ impl<'p> ObjectStore<'p> {
         }
         let mut value = vec![0u8; entry.len as usize];
         self.pool
-            .read(self.slot_off(id, Self::slot_for(entry.epoch)), &mut value)?;
+            .read(self.slot_off(id, epoch::slot_for(entry.epoch)), &mut value)?;
         if fnv1a(&value) != entry.value_hash {
             return Err(PmemError::ObjectStore(
                 "payload bytes do not match the committed content hash",
@@ -867,5 +768,26 @@ mod tests {
             DESC_SIZE + 10 * ENTRY_SIZE + 2 * 10 * 100
         );
         assert!(ObjectStore::required_pool_size(10, 100) > ObjectStore::region_size(10, 100));
+    }
+
+    #[test]
+    fn open_rejects_a_descriptor_shape_larger_than_the_pool() {
+        let (pool, _backend) = pool_pair(8, 64);
+        let mut store = ObjectStore::format(&pool, 8, 64).unwrap();
+        store.put_commit(1, b"one").unwrap();
+        let oid = store.oid();
+        drop(store);
+        // value_len (descriptor byte 24) claims u64::MAX / 2 bytes per slot.
+        pool.write(oid.offset + 24, &(u64::MAX / 2).to_le_bytes())
+            .unwrap();
+        assert!(matches!(
+            ObjectStore::open(&pool, oid),
+            Err(PmemError::ObjectStore("corrupt descriptor"))
+        ));
+        pool.write(oid.offset + 24, &64u64.to_le_bytes()).unwrap();
+        assert_eq!(
+            ObjectStore::open(&pool, oid).unwrap().get(1).unwrap(),
+            b"one"
+        );
     }
 }

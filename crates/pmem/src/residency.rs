@@ -22,8 +22,12 @@
 //! authoritative (the shadow copy is ignored), after the flip the destination
 //! is. There is no in-between.
 //!
+//! The header, its checked sizing and the root open are the crate's epoch
+//! primitive (`epoch.rs`); the tier table is the map's own.
+//!
 //! [`TxLog`]: crate::tx::TxLog
 
+use crate::epoch::{Descriptor, PoolRef, Spec};
 use crate::error::PmemError;
 use crate::oid::PmemOid;
 use crate::pool::PmemPool;
@@ -39,13 +43,26 @@ const MAP_HEADER: u64 = 32;
 /// Bytes per chunk entry (a little-endian `u32` tier index).
 const ENTRY: u64 = 4;
 
+/// The map's layout: shape `[chunk_count, tier_count]`, one entry per chunk
+/// and no payload slots (the `u32` tier count is stored as a `u64` word
+/// whose high half is zero).
+pub(crate) const SPEC: Spec = Spec {
+    magic: RESIDENCY_MAGIC,
+    version: RESIDENCY_VERSION,
+    desc_size: MAP_HEADER,
+    fixed: MAP_HEADER,
+    entry: ENTRY,
+    units: |[chunks, _tiers]| (chunks, 0),
+    error: PmemError::Residency,
+};
+
 /// A durable chunk → tier table living inside a pool.
 ///
 /// The map owns a shared handle on its pool (like
 /// [`CheckpointRegion::open_root_shared`](crate::CheckpointRegion::open_root_shared))
 /// so long-lived tiering state can hold the map and the pool together.
 pub struct ResidencyMap {
-    pool: Arc<PmemPool>,
+    pool: PoolRef<'static>,
     base: u64,
     chunks: usize,
     tier_count: u32,
@@ -62,9 +79,9 @@ impl std::fmt::Debug for ResidencyMap {
 }
 
 impl ResidencyMap {
-    /// Bytes the map occupies inside a pool for `chunks` entries.
+    /// Bytes the map occupies inside a pool for `chunks` entries (saturating).
     pub fn map_size(chunks: usize) -> u64 {
-        MAP_HEADER + chunks as u64 * ENTRY
+        SPEC.region_size([chunks as u64, 1])
     }
 
     /// Formats a fresh map holding `initial[i]` as chunk `i`'s tier; every
@@ -78,66 +95,39 @@ impl ResidencyMap {
         if initial.iter().any(|&t| t >= tier_count) {
             return Err(PmemError::Residency("initial tier index out of range"));
         }
-        let oid = pool.alloc_bytes(Self::map_size(initial.len()))?;
-        let base = oid.offset;
-        let mut header = [0u8; MAP_HEADER as usize];
-        header[0..8].copy_from_slice(&RESIDENCY_MAGIC.to_le_bytes());
-        header[8..12].copy_from_slice(&RESIDENCY_VERSION.to_le_bytes());
-        header[16..24].copy_from_slice(&(initial.len() as u64).to_le_bytes());
-        header[24..28].copy_from_slice(&tier_count.to_le_bytes());
-        pool.write(base, &header)?;
-        let mut entries = vec![0u8; initial.len() * ENTRY as usize];
-        for (i, &tier) in initial.iter().enumerate() {
-            entries[i * 4..i * 4 + 4].copy_from_slice(&tier.to_le_bytes());
-        }
-        pool.write(base + MAP_HEADER, &entries)?;
-        pool.persist(base, Self::map_size(initial.len()))?;
-        Ok(ResidencyMap {
-            pool,
-            base,
-            chunks: initial.len(),
-            tier_count,
-        })
+        let shape = [initial.len() as u64, u64::from(tier_count)];
+        let desc = SPEC.format(PoolRef::Shared(pool), shape)?;
+        let entries: Vec<u8> = initial.iter().flat_map(|t| t.to_le_bytes()).collect();
+        desc.pool.write(desc.base + MAP_HEADER, &entries)?;
+        desc.pool
+            .persist(desc.base, Self::map_size(initial.len()))?;
+        Self::from_descriptor(desc)
     }
 
     /// Opens an existing map at `oid` (typically after a pool reopen —
     /// [`PmemPool::open_with_backend`] has already replayed any interrupted
     /// migration record by then).
     pub fn open(pool: Arc<PmemPool>, oid: PmemOid) -> Result<Self> {
-        let base = oid.offset;
-        let mut header = [0u8; MAP_HEADER as usize];
-        pool.read(base, &mut header)?;
-        let read64 = |at: usize| {
-            let mut buf = [0u8; 8];
-            buf.copy_from_slice(&header[at..at + 8]);
-            u64::from_le_bytes(buf)
-        };
-        if read64(0) != RESIDENCY_MAGIC {
-            return Err(PmemError::Residency("residency map magic mismatch"));
-        }
-        let version = u32::from_le_bytes([header[8], header[9], header[10], header[11]]);
-        if version != RESIDENCY_VERSION {
-            return Err(PmemError::Residency("unsupported residency map version"));
-        }
-        let chunks = read64(16) as usize;
-        let tier_count = u32::from_le_bytes([header[24], header[25], header[26], header[27]]);
-        if chunks == 0 || tier_count == 0 {
-            return Err(PmemError::Residency("corrupt residency map header"));
-        }
-        Ok(ResidencyMap {
-            pool,
-            base,
-            chunks,
-            tier_count,
-        })
+        Self::from_descriptor(SPEC.open(PoolRef::Shared(pool), oid)?)
     }
 
     /// Opens the map registered as the pool's root object.
     pub fn open_root(pool: Arc<PmemPool>) -> Result<Self> {
-        let (oid, _) = pool
-            .root()
-            .ok_or(PmemError::Residency("pool has no root residency map"))?;
-        Self::open(pool, oid)
+        Self::from_descriptor(SPEC.open_root(PoolRef::Shared(pool))?)
+    }
+
+    /// A handle on the map `desc` describes; tier counts past `u32` are corrupt.
+    fn from_descriptor(desc: Descriptor<'static>) -> Result<Self> {
+        let [chunks, tiers] = desc.shape;
+        let corrupt = |_| PmemError::Residency("corrupt descriptor");
+        let chunks = usize::try_from(chunks).map_err(corrupt)?;
+        let tier_count = u32::try_from(tiers).map_err(corrupt)?;
+        Ok(ResidencyMap {
+            pool: desc.pool,
+            base: desc.base,
+            chunks,
+            tier_count,
+        })
     }
 
     /// The map's object id (store it in the pool root to reopen later).
@@ -188,6 +178,7 @@ impl ResidencyMap {
     pub fn counts(&self) -> Result<Vec<usize>> {
         let mut counts = vec![0usize; self.tier_count as usize];
         for tier in self.tiers()? {
+            // in-bounds: tier_of rejects tiers ≥ tier_count = counts.len().
             counts[tier as usize] += 1;
         }
         Ok(counts)
@@ -311,6 +302,27 @@ mod tests {
         let reopened = Arc::new(PmemPool::open_with_backend(shared, "tier").unwrap());
         let map = ResidencyMap::open_root(reopened).unwrap();
         assert_eq!(map.tiers().unwrap(), vec![0, 1, 0]);
+    }
+
+    #[test]
+    fn open_rejects_a_header_shape_larger_than_the_pool() {
+        let (_, pool) = shared_pool();
+        let map = ResidencyMap::format(Arc::clone(&pool), 2, &[0, 1, 0]).unwrap();
+        let oid = map.oid();
+        drop(map);
+        let open_with = |at: u64, word: u64| {
+            pool.write(oid.offset + at, &word.to_le_bytes()).unwrap();
+            ResidencyMap::open(Arc::clone(&pool), oid)
+        };
+        // chunk_count (byte 16) claims 2^40 entries, or the tier count
+        // (byte 24) outgrows u32; each is rejected, and restoring it heals.
+        for (at, corrupt, good) in [(16, 1u64 << 40, 3), (24, 1u64 << 32, 2)] {
+            assert!(matches!(
+                open_with(at, corrupt),
+                Err(PmemError::Residency("corrupt descriptor"))
+            ));
+            assert_eq!(open_with(at, good).unwrap().tiers().unwrap(), vec![0, 1, 0]);
+        }
     }
 
     proptest! {

@@ -45,6 +45,12 @@ impl CrashPoint {
         CrashPoint::AfterCommit,
         CrashPoint::DuringRecovery,
     ];
+
+    /// This point's position in [`CrashPoint::ALL`] (declaration order): the
+    /// sub-position phases outside a transaction select with it.
+    pub fn ordinal(self) -> usize {
+        self as usize
+    }
 }
 
 const LOG_ACTIVE: u64 = 1;
@@ -288,6 +294,13 @@ mod tests {
         let shared: SharedBackend = Arc::new(backend.clone());
         let pool = PmemPool::create_with_backend(shared, "tx-test").unwrap();
         (backend, pool)
+    }
+
+    #[test]
+    fn ordinal_is_the_position_in_all() {
+        for (i, point) in CrashPoint::ALL.into_iter().enumerate() {
+            assert_eq!(point.ordinal(), i, "{point:?}");
+        }
     }
 
     fn read8(pool: &PmemPool, offset: u64) -> [u8; 8] {
