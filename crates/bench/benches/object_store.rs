@@ -9,7 +9,10 @@
 //! the latency floor. Second, criterion times the KV hot paths themselves: a
 //! raw [`ObjectStore`] `put_commit` (slot write + flush + drain + undo-log
 //! commit record) and a committed `get` (entry + payload checksum
-//! validation), plus a smoke-scale scenario run end to end.
+//! validation), plus a smoke-scale scenario run end to end. A `content_hash`
+//! group times the payload hash (`xxh64`) against the record checksum
+//! (`fnv1a`) on a 256 B value and a 1 MiB chunk, so a hash regression shows
+//! here as well as in the checkpoint and object paths.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pmem::{ObjectStore, PmemPool};
@@ -83,6 +86,31 @@ fn object_store(c: &mut Criterion) {
     group.bench_function("run_objects_smoke", |b| {
         b.iter(|| black_box(objects::run_objects(&ObjectsConfig::smoke())).expect("scenario"))
     });
+    group.finish();
+
+    // --- content hash: the payload hash against the record checksum ---------
+    // Every sample hashes the same 1 MiB, as 4096 values of 256 B or as one
+    // 1 MiB chunk, so the rows compare directly.
+    let bytes: Vec<u8> = (0..1usize << 20)
+        .map(|i| (i as u8).wrapping_mul(31))
+        .collect();
+    let hashes = [
+        ("xxh64", pmem::pool::xxh64 as fn(&[u8]) -> u64),
+        ("fnv1a", pmem::pool::fnv1a),
+    ];
+    let mut group = c.benchmark_group("content_hash");
+    group.sample_size(10);
+    for (label, len) in [("256B", 256usize), ("1MiB", 1 << 20)] {
+        for (name, hash) in hashes {
+            group.bench_function(format!("{name}_{label}"), |b| {
+                b.iter(|| {
+                    black_box(&bytes)
+                        .chunks_exact(len)
+                        .fold(0, |acc, value| acc ^ hash(value))
+                })
+            });
+        }
+    }
     group.finish();
 }
 

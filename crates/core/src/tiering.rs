@@ -813,7 +813,7 @@ impl TieredRegion {
         self.tiers[tier]
             .pool
             .read(self.slot_off(tier, chunk), &mut buf)?;
-        Ok(pmem::pool::fnv1a(&buf))
+        Ok(pmem::pool::xxh64(&buf))
     }
 
     // ------------------------------------------------------------ migration

@@ -299,13 +299,13 @@ mod tests {
         let table: [(&str, u64, [u8; 32]); 3] = [
             ("checkpoint", region.oid().offset, [
                 0x31, 0x4E, 0x47, 0x52, 0x54, 0x50, 0x4B, 0x43, // "CKPTRGN1"
-                0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // version 1
+                0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // version 2
                 0x00, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // data_len 2048
                 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // chunk_len 256
             ]),
             ("object store", store.oid().offset, [
                 0x31, 0x52, 0x4F, 0x54, 0x53, 0x4A, 0x42, 0x4F, // "OBJSTOR1"
-                0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // version 1
+                0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // version 2
                 0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // capacity 16
                 0x30, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // value_len 48
             ]),
@@ -332,6 +332,25 @@ mod tests {
         let mut entries = [0u8; 16];
         pool.read(map.oid().offset + 32, &mut entries).unwrap();
         assert_eq!(entries, [0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0]);
+    }
+
+    /// Media written before the XXH64 content hash (descriptor version 1)
+    /// is refused by version, never misread as a failed slot or payload.
+    #[test]
+    fn version_1_media_is_an_unsupported_version() {
+        let pool = pool();
+        let region = CheckpointRegion::format(&pool, 2048, 256).unwrap().oid();
+        let store = ObjectStore::format(&pool, 16, 48).unwrap().oid();
+        pool.write(region.offset + 8, &[1]).unwrap();
+        pool.write(store.offset + 8, &[1]).unwrap();
+        assert!(matches!(
+            CheckpointRegion::open(&pool, region),
+            Err(PmemError::Checkpoint("unsupported descriptor version"))
+        ));
+        assert!(matches!(
+            ObjectStore::open(&pool, store),
+            Err(PmemError::ObjectStore("unsupported descriptor version"))
+        ));
     }
 
     #[test]

@@ -42,11 +42,20 @@
 //! surfaces as a typed error, never as silently torn bytes. Crash injection
 //! pairs [`ObjectPhase`] with a [`CrashPoint`]; the `object_crash_matrix`
 //! suite runs the exhaustive product.
+//!
+//! # Hashes
+//!
+//! The payload's content hash (`value_hash`) is
+//! [`xxh64`](crate::pool::xxh64); the entry checksum is the epoch
+//! primitive's fixed-size record checksum ([`fnv1a`](crate::pool::fnv1a)).
+//! Open reads only the descriptor; payloads stream through validation one
+//! value at a time, on every get and object by object in
+//! [`ObjectStore::verify`].
 
 use crate::epoch::{self, CommitCrash, Descriptor, PoolRef, Spec};
 use crate::error::PmemError;
 use crate::oid::PmemOid;
-use crate::pool::{fnv1a, PmemPool};
+use crate::pool::{xxh64, PmemPool};
 use crate::tx::CrashPoint;
 use crate::Result;
 use std::collections::HashMap;
@@ -54,8 +63,8 @@ use std::sync::Arc;
 
 /// Magic tag of a store descriptor ("OBJSTOR1").
 const STORE_MAGIC: u64 = 0x4F42_4A53_544F_5231;
-/// On-media format version.
-const STORE_VERSION: u32 = 1;
+/// On-media format version (2: value hashes are XXH64).
+const STORE_VERSION: u32 = 2;
 /// Bytes reserved for the store descriptor.
 const DESC_SIZE: u64 = 64;
 /// Bytes per directory entry.
@@ -368,7 +377,7 @@ impl<'p> ObjectStore<'p> {
             id,
             Staged {
                 len: value.len() as u64,
-                hash: fnv1a(value),
+                hash: xxh64(value),
                 basis: epoch,
             },
         );
@@ -500,7 +509,7 @@ impl<'p> ObjectStore<'p> {
         let mut value = vec![0u8; entry.len as usize];
         self.pool
             .read(self.slot_off(id, epoch::slot_for(entry.epoch)), &mut value)?;
-        if fnv1a(&value) != entry.value_hash {
+        if xxh64(&value) != entry.value_hash {
             return Err(PmemError::ObjectStore(
                 "payload bytes do not match the committed content hash",
             ));
