@@ -6,6 +6,20 @@
 //! sets the memory-enable bit and then reads and writes cache lines through
 //! CXL.mem requests. Bulk helpers are provided for the persistent-memory layer,
 //! which moves whole object ranges rather than single lines.
+//!
+//! # Concurrency
+//!
+//! The media path has no device-wide lock: [`Type3Device::read_bulk`] and
+//! [`Type3Device::write_bulk`] take exactly one chunk lock of the
+//! [`SparseMemory`] backing store per 64 KiB they touch, so transfers to
+//! different chunks run in parallel. A bulk transfer is therefore atomic per
+//! 64 KiB chunk, not per call — as on real CXL.mem, where it is a stream of
+//! independent line requests — and a concurrent reader may see a transfer
+//! that straddles chunks half done. A line op (`MemRd`, `MemWr`, `MemWrPtl`)
+//! at a line-aligned address is atomic per line: a partial-line write merges
+//! its enabled bytes under the chunk's write lock, so a concurrent write to
+//! other bytes of the same chunk is never lost. The [`DeviceStats`] counters
+//! are relaxed atomics; [`Type3Device::stats`] snapshots them.
 
 use crate::config::{CxlDeviceType, LinkConfig};
 use crate::error::CxlError;
@@ -16,6 +30,7 @@ use crate::transaction::{
 };
 use crate::Result;
 use parking_lot::{Mutex, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Well-known CXL.io register offsets implemented by the model.
 pub mod registers {
@@ -49,6 +64,37 @@ pub struct DeviceStats {
     pub rejected: u64,
 }
 
+/// The live counters behind [`DeviceStats`]: relaxed atomics, because they
+/// order nothing — the chunk locks order the data.
+#[derive(Debug, Default)]
+struct StatCounters {
+    lines_read: AtomicU64,
+    lines_written: AtomicU64,
+    bytes_read: AtomicU64,
+    bytes_written: AtomicU64,
+    gpf_flushes: AtomicU64,
+    rejected: AtomicU64,
+}
+
+/// Adds `n` to a statistics counter.
+fn count(counter: &AtomicU64, n: u64) {
+    counter.fetch_add(n, Ordering::Relaxed);
+}
+
+impl StatCounters {
+    fn snapshot(&self) -> DeviceStats {
+        let get = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        DeviceStats {
+            lines_read: get(&self.lines_read),
+            lines_written: get(&self.lines_written),
+            bytes_read: get(&self.bytes_read),
+            bytes_written: get(&self.bytes_written),
+            gpf_flushes: get(&self.gpf_flushes),
+            rejected: get(&self.rejected),
+        }
+    }
+}
+
 /// A CXL Type-3 (memory expander) endpoint with a functional backing store.
 #[derive(Debug)]
 pub struct Type3Device {
@@ -57,10 +103,10 @@ pub struct Type3Device {
     vendor_id: u16,
     device_id: u16,
     hdm: RwLock<HdmDecoder>,
-    memory: RwLock<SparseMemory>,
+    memory: SparseMemory,
     mem_enabled: RwLock<bool>,
     counters: Mutex<FlitCounters>,
-    stats: Mutex<DeviceStats>,
+    stats: StatCounters,
 }
 
 impl Type3Device {
@@ -72,10 +118,10 @@ impl Type3Device {
             vendor_id: 0x8086,
             device_id: 0x0CF1,
             hdm: RwLock::new(HdmDecoder::new()),
-            memory: RwLock::new(SparseMemory::new(capacity_bytes)),
+            memory: SparseMemory::new(capacity_bytes),
             mem_enabled: RwLock::new(false),
             counters: Mutex::new(FlitCounters::default()),
-            stats: Mutex::new(DeviceStats::default()),
+            stats: StatCounters::default(),
         }
     }
 
@@ -96,7 +142,7 @@ impl Type3Device {
 
     /// Capacity of the backing memory in bytes.
     pub fn capacity_bytes(&self) -> u64 {
-        self.memory.read().capacity()
+        self.memory.capacity()
     }
 
     /// Whether CXL.mem accesses are currently allowed.
@@ -106,10 +152,15 @@ impl Type3Device {
 
     /// Programs an HDM decoder range.
     pub fn program_hdm(&self, range: HdmRange) -> Result<()> {
-        if range.dpa_base + range.local_bytes() > self.capacity_bytes() {
+        let Some(end) = range.dpa_base.checked_add(range.local_bytes()) else {
+            return Err(CxlError::InvalidHdmRange(
+                "range end overflows the device address space".to_string(),
+            ));
+        };
+        if end > self.capacity_bytes() {
             return Err(CxlError::InvalidHdmRange(format!(
                 "range maps {} bytes beyond device capacity",
-                range.dpa_base + range.local_bytes() - self.capacity_bytes()
+                end - self.capacity_bytes()
             )));
         }
         self.hdm.write().program(range)
@@ -162,7 +213,7 @@ impl Type3Device {
                         }
                     }
                     REG_GPF_DOORBELL => {
-                        self.stats.lock().gpf_flushes += 1;
+                        self.global_persistent_flush();
                         IoResponse {
                             value: *value,
                             success: true,
@@ -180,22 +231,21 @@ impl Type3Device {
     /// Handles one CXL.mem request against the backing store.
     pub fn handle_mem(&self, request: &MemRequest) -> Result<MemResponse> {
         if !self.memory_enabled() {
-            self.stats.lock().rejected += 1;
+            count(&self.stats.rejected, 1);
             return Err(CxlError::NotReady("memory enable bit is clear"));
         }
         let dpa = match self.hdm.read().translate(request.hpa) {
             Ok(dpa) => dpa,
             Err(e) => {
-                self.stats.lock().rejected += 1;
+                count(&self.stats.rejected, 1);
                 return Err(e);
             }
         };
         let response = match request.opcode {
             MemOpcode::MemRd => {
                 let data = self.read_line_dpa(dpa)?;
-                let mut stats = self.stats.lock();
-                stats.lines_read += 1;
-                stats.bytes_read += CACHE_LINE_BYTES as u64;
+                count(&self.stats.lines_read, 1);
+                count(&self.stats.bytes_read, CACHE_LINE_BYTES as u64);
                 MemResponse {
                     tag: request.tag,
                     data: Some(data),
@@ -217,9 +267,8 @@ impl Type3Device {
                     request.byte_enable
                 };
                 self.write_line_dpa(dpa, &data, enable)?;
-                let mut stats = self.stats.lock();
-                stats.lines_written += 1;
-                stats.bytes_written += enable.count_ones() as u64;
+                count(&self.stats.lines_written, 1);
+                count(&self.stats.bytes_written, enable.count_ones() as u64);
                 MemResponse {
                     tag: request.tag,
                     data: None,
@@ -231,17 +280,22 @@ impl Type3Device {
         Ok(response)
     }
 
-    fn read_line_dpa(&self, dpa: u64) -> Result<[u8; CACHE_LINE_BYTES]> {
-        let memory = self.memory.read();
-        if !memory.in_bounds(dpa, CACHE_LINE_BYTES) {
-            return Err(CxlError::OutOfBounds {
+    fn check_bounds(&self, dpa: u64, len: usize) -> Result<()> {
+        if self.memory.in_bounds(dpa, len) {
+            Ok(())
+        } else {
+            Err(CxlError::OutOfBounds {
                 dpa,
-                len: CACHE_LINE_BYTES,
-                capacity: memory.capacity(),
-            });
+                len,
+                capacity: self.memory.capacity(),
+            })
         }
+    }
+
+    fn read_line_dpa(&self, dpa: u64) -> Result<[u8; CACHE_LINE_BYTES]> {
+        self.check_bounds(dpa, CACHE_LINE_BYTES)?;
         let mut line = [0u8; CACHE_LINE_BYTES];
-        memory.read(dpa, &mut line);
+        self.memory.read(dpa, &mut line);
         Ok(line)
     }
 
@@ -251,23 +305,10 @@ impl Type3Device {
         data: &[u8; CACHE_LINE_BYTES],
         byte_enable: u64,
     ) -> Result<()> {
-        let mut memory = self.memory.write();
-        if !memory.in_bounds(dpa, CACHE_LINE_BYTES) {
-            return Err(CxlError::OutOfBounds {
-                dpa,
-                len: CACHE_LINE_BYTES,
-                capacity: memory.capacity(),
-            });
-        }
-        // Merge with the existing line so partial writes honour byte enables.
-        let mut line = [0u8; CACHE_LINE_BYTES];
-        memory.read(dpa, &mut line);
-        for (i, byte) in data.iter().enumerate() {
-            if byte_enable & (1 << i) != 0 {
-                line[i] = *byte;
-            }
-        }
-        memory.write(dpa, &line);
+        self.check_bounds(dpa, CACHE_LINE_BYTES)?;
+        // Merge under the chunk's write lock so partial writes honour byte
+        // enables without losing a concurrent write to the same chunk.
+        self.memory.write_masked(dpa, data, byte_enable);
         Ok(())
     }
 
@@ -275,49 +316,42 @@ impl Type3Device {
     ///
     /// This is the path the persistent-memory runtime uses: it addresses the
     /// device directly in DPA space (the pool owns its region) and lets the
-    /// analytical simulator account the time.
+    /// analytical simulator account the time. Atomic per 64 KiB chunk.
     pub fn read_bulk(&self, dpa: u64, buf: &mut [u8]) -> Result<()> {
-        let memory = self.memory.read();
-        if !memory.in_bounds(dpa, buf.len()) {
-            return Err(CxlError::OutOfBounds {
-                dpa,
-                len: buf.len(),
-                capacity: memory.capacity(),
-            });
-        }
-        memory.read(dpa, buf);
-        let mut stats = self.stats.lock();
-        stats.bytes_read += buf.len() as u64;
-        stats.lines_read += (buf.len() as u64).div_ceil(CACHE_LINE_BYTES as u64);
+        self.check_bounds(dpa, buf.len())?;
+        self.memory.read(dpa, buf);
+        count(&self.stats.bytes_read, buf.len() as u64);
+        count(
+            &self.stats.lines_read,
+            (buf.len() as u64).div_ceil(CACHE_LINE_BYTES as u64),
+        );
         Ok(())
     }
 
-    /// Bulk write of `buf` starting at device-local address `dpa`.
+    /// Bulk write of `buf` starting at device-local address `dpa`. Atomic
+    /// per 64 KiB chunk.
     pub fn write_bulk(&self, dpa: u64, buf: &[u8]) -> Result<()> {
-        let mut memory = self.memory.write();
-        if !memory.in_bounds(dpa, buf.len()) {
-            return Err(CxlError::OutOfBounds {
-                dpa,
-                len: buf.len(),
-                capacity: memory.capacity(),
-            });
-        }
-        memory.write(dpa, buf);
-        let mut stats = self.stats.lock();
-        stats.bytes_written += buf.len() as u64;
-        stats.lines_written += (buf.len() as u64).div_ceil(CACHE_LINE_BYTES as u64);
+        self.check_bounds(dpa, buf.len())?;
+        self.memory.write(dpa, buf);
+        count(&self.stats.bytes_written, buf.len() as u64);
+        count(
+            &self.stats.lines_written,
+            (buf.len() as u64).div_ceil(CACHE_LINE_BYTES as u64),
+        );
         Ok(())
     }
 
     /// Global Persistent Flush: on a battery-backed or persistent device this
     /// guarantees all accepted writes reach the persistence domain.
     pub fn global_persistent_flush(&self) {
-        self.stats.lock().gpf_flushes += 1;
+        count(&self.stats.gpf_flushes, 1);
     }
 
-    /// Activity statistics.
+    /// Activity statistics. The counters are read one at a time, so a
+    /// snapshot taken during traffic may count a transfer's bytes but not
+    /// yet its lines; a quiescent device's snapshot is exact.
     pub fn stats(&self) -> DeviceStats {
-        *self.stats.lock()
+        self.stats.snapshot()
     }
 
     /// Link-level flit counters.
@@ -331,7 +365,7 @@ impl Type3Device {
     /// HDM decoders must be reprogrammed, as after a real reboot.
     pub fn power_cycle(&self, persistent: bool) {
         if !persistent {
-            self.memory.write().clear();
+            self.memory.clear();
         }
         *self.mem_enabled.write() = false;
         self.hdm.write().clear();
@@ -432,6 +466,16 @@ mod tests {
     }
 
     #[test]
+    fn hdm_range_end_overflow_is_rejected() {
+        let dev = Type3Device::new("small", MIB, LinkConfig::gen5_x16());
+        let err = dev
+            .program_hdm(HdmRange::linear(0, 64 * 1024, u64::MAX - 1024))
+            .unwrap_err();
+        assert!(matches!(err, CxlError::InvalidHdmRange(_)));
+        assert_eq!(dev.mapped_bytes(), 0);
+    }
+
+    #[test]
     fn bulk_round_trip_and_stats() {
         let dev = enabled_device();
         let payload: Vec<u8> = (0..8192u32).map(|i| (i % 251) as u8).collect();
@@ -484,6 +528,54 @@ mod tests {
         assert_eq!(counters.mem_requests, 2);
         assert!(counters.m2s_bytes > 0);
         assert!(counters.payload_efficiency() > 0.0);
+    }
+
+    #[test]
+    fn partial_line_write_racing_bulk_write_loses_neither() {
+        // The partial write enables the line's first 4 bytes; the bulk write
+        // covers the line's other 60 bytes. A read-merge-write outside the
+        // chunk lock would put stale bytes back.
+        // Each round releases both writers together, the bulk writer after a
+        // spin that sweeps it across the partial write's window, then reads
+        // the line back; the checks run after the writers finish.
+        const ROUNDS: usize = 5000;
+        let dev = enabled_device();
+        let hpa = 0x1000_0000 + 4096;
+        let (start, done) = (std::sync::Barrier::new(3), std::sync::Barrier::new(3));
+        let value = |round: usize| (round % 251) as u8 + 1;
+        let mut lines = vec![[0u8; 64]; ROUNDS];
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for round in 0..ROUNDS {
+                    start.wait();
+                    let line = [value(round); 64];
+                    let request = MemRequest::write_partial(hpa, line, 0xF, 0);
+                    dev.handle_mem(&request).unwrap();
+                    done.wait();
+                }
+            });
+            scope.spawn(|| {
+                for round in 0..ROUNDS {
+                    start.wait();
+                    (0..round % 256).for_each(|_| std::hint::spin_loop());
+                    dev.write_bulk(4096 + 4, &[!value(round); 60]).unwrap();
+                    done.wait();
+                }
+            });
+            for line in &mut lines {
+                start.wait();
+                done.wait();
+                dev.read_bulk(4096, line).unwrap();
+            }
+        });
+        for (round, line) in lines.iter().enumerate() {
+            let v = value(round);
+            assert_eq!(&line[..4], &[v; 4], "round {round}: partial write lost");
+            assert!(
+                line[4..].iter().all(|&b| b == !v),
+                "round {round}: bulk write lost"
+            );
+        }
     }
 
     #[test]

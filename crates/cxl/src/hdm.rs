@@ -94,6 +94,11 @@ impl HdmDecoder {
                 "range must be 64-byte aligned".to_string(),
             ));
         }
+        if range.hpa_base.checked_add(range.len).is_none() {
+            return Err(CxlError::InvalidHdmRange(
+                "range wraps the host physical address space".to_string(),
+            ));
+        }
         if range.interleave_ways == 0 {
             return Err(CxlError::InvalidHdmRange(
                 "zero interleave ways".to_string(),
@@ -290,6 +295,20 @@ mod tests {
         assert!(dec.program(HdmRange::linear(0, 0, 0)).is_err());
         assert!(dec.program(HdmRange::linear(32, 128, 0)).is_err());
         assert!(dec.program(HdmRange::linear(0, 100, 0)).is_err());
+    }
+
+    #[test]
+    fn wrapping_window_is_rejected() {
+        let mut dec = HdmDecoder::new();
+        let err = dec
+            .program(HdmRange::linear(u64::MAX - 63, 128, 0))
+            .unwrap_err();
+        assert!(matches!(err, CxlError::InvalidHdmRange(_)));
+        // Nothing was programmed, so decoding the top line is a typed miss.
+        assert!(matches!(
+            dec.translate(u64::MAX - 63),
+            Err(CxlError::AddressNotMapped(_))
+        ));
     }
 
     #[test]
